@@ -2,6 +2,13 @@
 // byte slices. The OSU-MAC control fields pack 6-bit user IDs and 16-bit
 // EINs into 630 bits across two RS codewords; this package does the
 // packing.
+//
+// Every subscriber unpacks those 630 bits on every cycle, so the field
+// kernels work a byte chunk at a time: a w-bit field at any bit offset
+// costs at most ⌈w/8⌉+1 shift-and-mask steps (one partial leading
+// byte, whole middle bytes, one partial trailing byte) instead of w
+// single-bit steps, and byte runs at an aligned offset are plain
+// copies.
 package bitio
 
 import (
@@ -42,28 +49,63 @@ func NewWriter(capacityBits int) *Writer {
 // escaping). The caller guarantees capacity, zeroed target bits, and
 // that v fits width — validate up front, as frame's MarshalTo does.
 func PutBitsAt(buf []byte, nbit int, v uint64, width int) int {
-	for i := width - 1; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			buf[nbit/8] |= 1 << uint(7-nbit%8)
-		}
-		nbit++
+	if width <= 0 {
+		return nbit
 	}
-	return nbit
+	if width < 64 {
+		v &= 1<<uint(width) - 1
+	}
+	end := nbit + width
+	i := nbit >> 3
+	if off := nbit & 7; off != 0 {
+		// Leading partial byte: the field's top bits fill the low
+		// 8−off bits of buf[i].
+		free := 8 - off
+		if width <= free {
+			buf[i] |= byte(v << uint(free-width))
+			return end
+		}
+		width -= free
+		buf[i] |= byte(v >> uint(width))
+		i++
+	}
+	for ; width >= 8; i++ {
+		width -= 8
+		buf[i] |= byte(v >> uint(width))
+	}
+	if width > 0 {
+		buf[i] |= byte(v << uint(8-width))
+	}
+	return end
 }
 
 // TakeBitsAt reads width bits MSB-first from bit offset nbit of buf,
 // returning the value and the advanced offset: the stateless form of
 // ReadBits (see PutBitsAt). The caller guarantees bounds.
 func TakeBitsAt(buf []byte, nbit, width int) (uint64, int) {
-	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		if buf[nbit/8]&(1<<uint(7-nbit%8)) != 0 {
-			v |= 1
-		}
-		nbit++
+	if width <= 0 {
+		return 0, nbit
 	}
-	return v, nbit
+	end := nbit + width
+	i := nbit >> 3
+	var v uint64
+	if off := nbit & 7; off != 0 {
+		free := 8 - off
+		v = uint64(buf[i] & (0xff >> uint(off)))
+		if width <= free {
+			return v >> uint(free-width), end
+		}
+		width -= free
+		i++
+	}
+	for ; width >= 8; i++ {
+		width -= 8
+		v = v<<8 | uint64(buf[i])
+	}
+	if width > 0 {
+		v = v<<uint(width) | uint64(buf[i]>>uint(8-width))
+	}
+	return v, end
 }
 
 // CapacityBits returns the writer's capacity in bits.
@@ -82,12 +124,7 @@ func (w *Writer) WriteBits(v uint64, width int) error {
 		return fmt.Errorf("%w: write %d bits at offset %d, capacity %d",
 			ErrOverflow, width, w.nbit, len(w.buf)*8)
 	}
-	for i := width - 1; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			w.buf[w.nbit/8] |= 1 << uint(7-w.nbit%8)
-		}
-		w.nbit++
-	}
+	w.nbit = PutBitsAt(w.buf, w.nbit, v, width)
 	return nil
 }
 
@@ -100,8 +137,15 @@ func (w *Writer) WriteBool(b bool) error {
 	return w.WriteBits(v, 1)
 }
 
-// WriteBytes writes whole bytes at the current bit offset.
+// WriteBytes writes whole bytes at the current bit offset. At a byte
+// boundary this is a copy. When p does not fit, the bytes that do are
+// written and the overflow error names the first byte that does not.
 func (w *Writer) WriteBytes(p []byte) error {
+	if w.nbit&7 == 0 {
+		n := copy(w.buf[w.nbit>>3:], p)
+		w.nbit += 8 * n
+		p = p[n:]
+	}
 	for _, b := range p {
 		if err := w.WriteBits(uint64(b), 8); err != nil {
 			return err
@@ -192,13 +236,7 @@ func (r *Reader) ReadBits(width int) (uint64, error) {
 			ErrOverflow, width, r.nbit, len(r.buf)*8)
 	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		if r.buf[r.nbit/8]&(1<<uint(7-r.nbit%8)) != 0 {
-			v |= 1
-		}
-		r.nbit++
-	}
+	v, r.nbit = TakeBitsAt(r.buf, r.nbit, width)
 	return v, nil
 }
 
@@ -208,10 +246,18 @@ func (r *Reader) ReadBool() (bool, error) {
 	return v == 1, err
 }
 
-// ReadBytes reads n whole bytes at the current bit offset.
+// ReadBytes reads n whole bytes at the current bit offset into a new
+// slice. At a byte boundary this is a copy. When fewer than n bytes
+// remain, the ones that do are consumed and the overflow error names
+// the first byte that does not.
 func (r *Reader) ReadBytes(n int) ([]byte, error) {
 	out := make([]byte, 0, n)
-	for i := 0; i < n; i++ {
+	if r.nbit&7 == 0 {
+		at := r.nbit >> 3
+		out = append(out, r.buf[at:at+min(n, len(r.buf)-at)]...)
+		r.nbit += 8 * len(out)
+	}
+	for len(out) < n {
 		v, err := r.ReadBits(8)
 		if err != nil {
 			return nil, err

@@ -61,11 +61,20 @@ type Network struct {
 	// every consumer finishes with its buffer before handing control
 	// back, so one buffer per role removes the per-slot allocations.
 	// cf1Buf/cf2Buf live until their delivery events fire later in the
-	// same cycle; encBuf/rxBuf are consumed within one handler.
-	cf1Buf []byte
-	cf2Buf []byte
-	encBuf []byte
-	rxBuf  []byte
+	// same cycle; the rest are consumed within one handler: encBuf and
+	// rxBuf hold one codeword, infoBuf and decBuf the marshaled and
+	// decoded information bytes of a slot's transmissions, and rxCF the
+	// control fields a subscriber decodes (its state machine only reads
+	// them).
+	cf1Buf  []byte
+	cf2Buf  []byte
+	encBuf  []byte
+	rxBuf   []byte
+	infoBuf []byte
+	decBuf  []byte
+	slotTxs []slotTx
+	rxInfos [][]byte
+	rxCF    frame.ControlFields
 
 	// Compiled-cycle executor (see compiled.go). compiled is nil when
 	// Config.DisableCompiledCycle is set; allIdeal tracks whether every
@@ -82,6 +91,13 @@ type Network struct {
 	scratchPkt     frame.Packet
 	scratchGPS     frame.GPSReport
 	scratchPayload [frame.MaxPayload]byte
+}
+
+// slotTx is one transmission in a reverse data slot: the sender and its
+// marshaled information bytes.
+type slotTx struct {
+	e    *subEntry
+	info []byte
 }
 
 type subEntry struct {
@@ -525,8 +541,8 @@ func (n *Network) deliverCF2Wire(cf2 *frame.ControlFields, layout Layout) {
 // forward link and hands the result to its state machine.
 func (n *Network) deliverCF(e *subEntry, air []byte, layout Layout) {
 	n.rxBuf = frame.TransmitTo(n.rxBuf[:0], air, e.fwdModel, e.chanRNG)
-	cf, err := n.codec.DecodeControlFields(n.rxBuf)
-	if err != nil {
+	cf := &n.rxCF
+	if err := n.codec.DecodeControlFieldsInto(cf, n.rxBuf); err != nil {
 		n.metrics.CFDecodeFailures.Inc()
 		n.trace(EventCFDecodeFailed, e.sub.ID(), -1, "")
 		e.plan = e.sub.OnCycleNoSchedule()
@@ -618,7 +634,8 @@ func (n *Network) gpsSlotStart(cf *frame.ControlFields, slot int, txStart time.D
 	if _, pending := e.sub.GPSPendingSince(); !pending {
 		return
 	}
-	rep, arrival, ok := e.sub.MakeGPSReport()
+	rep := &n.scratchGPS
+	arrival, ok := e.sub.MakeGPSReportInto(rep)
 	if !ok {
 		return
 	}
@@ -631,19 +648,20 @@ func (n *Network) gpsSlotStart(cf *frame.ControlFields, slot int, txStart time.D
 				DetailGPSLate, int64(delay), int64(phy.GPSAccessDeadline), 0)
 		}
 	}
-	body, err := rep.Marshal()
+	body, err := rep.MarshalTo(n.infoBuf[:0])
 	if err != nil {
 		return
 	}
+	n.infoBuf = body
 	// GPS packets carry 72 information bits in 256 coded bits — a rate
 	// ~0.28 code comparable in strength to the RS(64,48) protecting data
 	// slots. Model that protection by tolerating the same number of
 	// corrupted bytes as the RS correction radius; heavier corruption
 	// (the burst regime) loses the report, which is never retransmitted.
-	rx := append([]byte(nil), body...)
+	n.rxBuf = append(n.rxBuf[:0], body...)
 	changed := 0
 	if e.revModel != nil {
-		changed = e.revModel.Corrupt(rx, e.chanRNG)
+		changed = e.revModel.Corrupt(n.rxBuf, e.chanRNG)
 	}
 	if changed > gpsCorrectableBytes {
 		n.metrics.GPSLost.Inc()
@@ -666,24 +684,23 @@ func (n *Network) dataSlotEnd(cycle, slot int, isLast, contention bool) {
 	// belongs to the previous ACK window.
 	intoPrev := cycle != n.cycle-1
 
-	type tx struct {
-		e    *subEntry
-		info []byte
-	}
-	var txs []tx
+	// Scheduled packets marshal into the slot's share of infoBuf and
+	// decode into decBuf; RecordReverse parses the surviving payload
+	// into a packet of its own, so neither buffer outlives this slot.
+	txs := n.slotTxs[:0]
+	infos := n.infoBuf[:0]
 	for _, e := range n.subs {
 		if !e.hasPlan || e.planCycle != cycle {
 			continue
 		}
 		if !contention {
 			for _, s := range e.plan.DataSlots {
-				if s == slot {
-					if pkt := e.sub.MakeDataPacket(slot); pkt != nil {
-						info, err := pkt.Marshal()
-						if err == nil {
-							txs = append(txs, tx{e: e, info: info})
-							n.metrics.FragmentsSent.Inc()
-						}
+				if s == slot && e.sub.MakeDataPacketInto(slot, &n.scratchData, n.scratchPayload[:]) {
+					off := len(infos)
+					if grown, err := n.scratchData.MarshalTo(infos); err == nil {
+						infos = grown
+						txs = append(txs, slotTx{e: e, info: infos[off:]})
+						n.metrics.FragmentsSent.Inc()
 					}
 				}
 			}
@@ -691,15 +708,17 @@ func (n *Network) dataSlotEnd(cycle, slot int, isLast, contention bool) {
 		if e.plan.ContentionSlot == slot {
 			info, err := e.sub.MakeContentionPacket()
 			if err == nil && info != nil {
-				txs = append(txs, tx{e: e, info: info})
+				txs = append(txs, slotTx{e: e, info: info})
 				if n.tracing() {
 					n.trace(EventContentionTx, e.sub.ID(), slot, e.plan.ContentionKind.String())
 				}
 			}
 		}
 	}
+	n.infoBuf = infos
 
-	payloads := make([][]byte, 0, len(txs))
+	payloads := n.rxInfos[:0]
+	decoded := n.decBuf[:0]
 	for _, t := range txs {
 		cw, err := n.codec.EncodePayloadTo(n.encBuf[:0], t.info)
 		if err != nil {
@@ -707,14 +726,16 @@ func (n *Network) dataSlotEnd(cycle, slot int, isLast, contention bool) {
 		}
 		n.encBuf = cw
 		n.rxBuf = frame.TransmitTo(n.rxBuf[:0], cw, t.e.revModel, t.e.chanRNG)
-		// decoded escapes into payloads, so it keeps its own allocation.
-		decoded, err := n.codec.DecodePayload(n.rxBuf)
+		off := len(decoded)
+		grown, err := n.codec.DecodePayloadTo(decoded, n.rxBuf)
 		if err != nil {
 			payloads = append(payloads, nil) // loss
 			continue
 		}
-		payloads = append(payloads, decoded)
+		decoded = grown
+		payloads = append(payloads, decoded[off:])
 	}
+	n.slotTxs, n.rxInfos, n.decBuf = txs, payloads, decoded
 
 	out := n.base.RecordReverse(slot, intoPrev, isLast, payloads, contention)
 	if out.Collision && n.tracing() {
@@ -814,21 +835,24 @@ func (n *Network) forwardSlotEnd(slot int, user frame.UserID) {
 	if e == nil || !e.hasPlan || e.planCycle != n.cycle-1 {
 		return // subscriber missed the control fields: not listening
 	}
-	info, err := pkt.Marshal()
+	info, err := pkt.MarshalTo(n.infoBuf[:0])
 	if err != nil {
 		return
 	}
+	n.infoBuf = info
 	cw, err := n.codec.EncodePayloadTo(n.encBuf[:0], info)
 	if err != nil {
 		return
 	}
 	n.encBuf = cw
 	n.rxBuf = frame.TransmitTo(n.rxBuf[:0], cw, e.fwdModel, e.chanRNG)
-	// decoded may be aliased by the parsed packet below: keep it owned.
-	decoded, err := n.codec.DecodePayload(n.rxBuf)
+	decoded, err := n.codec.DecodePayloadTo(n.decBuf[:0], n.rxBuf)
 	if err != nil {
 		return
 	}
+	n.decBuf = decoded
+	// UnmarshalPacket copies the payload, so parsed does not alias
+	// decBuf.
 	parsed, err := frame.UnmarshalPacket(decoded)
 	if err != nil || parsed.Type != frame.TypeData {
 		return

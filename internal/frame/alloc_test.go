@@ -185,3 +185,55 @@ func TestControlFieldCodecSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("clean DecodeControlFieldsInto: %v allocs/op, want 0", n)
 	}
 }
+
+// TestCorrectedControlFieldsAllocFree covers the lossy path a
+// subscriber pays every cycle on a noisy forward link: corrupt the
+// control-field set through the channel model, then decode it with RS
+// correction in both codewords.
+func TestCorrectedControlFieldsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c := NewCodec()
+	cf := NewControlFields()
+	cf.GPSSchedule[1] = 9
+	cf.ForwardSchedule[30] = 21
+	cf.ReverseACKs[4] = ReverseACK{User: 21, EIN: 0x1234}
+	air, err := c.EncodeControlFieldsTo(nil, cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := make([]byte, 0, ControlFieldAirBytes)
+	rx = append(rx, air...)
+	rng := sim.NewRNG(13)
+	// t errors in each codeword: correctable, and the worst case for
+	// the Chien search and Forney.
+	for w := 0; w < phy.ControlFieldCodewords; w++ {
+		word := rx[w*phy.CodewordBytes : (w+1)*phy.CodewordBytes]
+		for _, p := range rng.Shuffled(len(word))[:c.Code().T()] {
+			word[p] ^= byte(rng.UniformInt(1, 255))
+		}
+	}
+	var got ControlFields
+	if err := c.DecodeControlFieldsInto(&got, rx); err != nil {
+		t.Fatal(err)
+	}
+	if got != *cf {
+		t.Fatal("corrected control fields differ from the sent set")
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := c.DecodeControlFieldsInto(&got, rx); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("corrected DecodeControlFieldsInto: %v allocs/op, want 0", n)
+	}
+
+	var model phy.ErrorModel = phy.TwoRegime{PLoss: 0.05, MaxCorrectable: 8}
+	buf := make([]byte, 0, ControlFieldAirBytes)
+	if n := testing.AllocsPerRun(200, func() {
+		buf = TransmitTo(buf[:0], air, model, rng)
+	}); n != 0 {
+		t.Errorf("TransmitTo through TwoRegime: %v allocs/op, want 0", n)
+	}
+}

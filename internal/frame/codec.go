@@ -41,9 +41,8 @@ func (c *Codec) DecodePayload(cw []byte) ([]byte, error) {
 	return c.code.Decode(cw)
 }
 
-// DecodePayloadTo appends the 48 decoded information bytes to dst. The
-// clean path (no channel errors) is allocation-free with a reused
-// buffer.
+// DecodePayloadTo appends the 48 decoded information bytes to dst.
+// With a reused buffer it is allocation-free, correcting or not.
 func (c *Codec) DecodePayloadTo(dst, cw []byte) ([]byte, error) {
 	return c.code.DecodeTo(dst, cw)
 }
@@ -83,8 +82,8 @@ func (c *Codec) DecodeControlFields(air []byte) (*ControlFields, error) {
 // DecodeControlFieldsTo decodes like DecodeControlFields but uses dst
 // as scratch for the concatenated decoded info blocks (appending past
 // len(dst)). With capacity for ControlFieldCodewords·CodewordInfoBytes
-// extra bytes the only allocation left is the returned struct, which
-// never aliases dst.
+// extra bytes, the returned struct is the only allocation, whether or
+// not RS had to correct errors; it never aliases dst.
 func (c *Codec) DecodeControlFieldsTo(dst, air []byte) (*ControlFields, error) {
 	want := phy.ControlFieldCodewords * phy.CodewordBytes
 	if len(air) != want {
@@ -103,9 +102,9 @@ func (c *Codec) DecodeControlFieldsTo(dst, air []byte) (*ControlFields, error) {
 
 // DecodeControlFieldsInto decodes two received codewords into a
 // caller-owned struct. The decoded info blocks live in stack scratch,
-// so the clean path (no channel errors) is allocation-free once the RS
-// decoder's scratch pool is warm. On error cf's contents are
-// unspecified.
+// so once the RS decoder's scratch pool is warm the decode is
+// allocation-free, on the correcting path as well as the clean one. On
+// error cf's contents are unspecified.
 func (c *Codec) DecodeControlFieldsInto(cf *ControlFields, air []byte) error {
 	want := phy.ControlFieldCodewords * phy.CodewordBytes
 	if len(air) != want {

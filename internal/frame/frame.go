@@ -201,14 +201,7 @@ func (cf *ControlFields) MarshalTo(dst []byte) ([]byte, error) {
 	if !cf.fieldsInRange() {
 		return nil, cf.marshalErr()
 	}
-	off := len(dst)
-	for len(dst) < off+ControlFieldBytes {
-		dst = append(dst, 0)
-	}
-	buf := dst[off:]
-	for i := range buf {
-		buf[i] = 0
-	}
+	dst, buf := appendZeros(dst, ControlFieldBytes)
 	nbit := 0
 	for _, u := range cf.GPSSchedule {
 		nbit = bitio.PutBitsAt(buf, nbit, uint64(u), UserIDBits)

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/osu-netlab/osumac/internal/bitio"
 	"github.com/osu-netlab/osumac/internal/phy"
@@ -78,6 +79,16 @@ type DataPacket struct {
 // Marshal packs the packet into the 48 information bytes of one RS
 // codeword.
 func (p *DataPacket) Marshal() ([]byte, error) {
+	return p.MarshalTo(nil)
+}
+
+// MarshalTo packs the packet like Marshal but appends the 48
+// information bytes to dst, so a reused buffer makes the encode
+// allocation-free. Every field is range-checked up front, after which
+// the header and the byte-aligned payload always fit.
+//
+//lint:ignore codecpair UnmarshalPacket is the round-trip counterpart; the analyzer pairs by name suffix only
+func (p *DataPacket) MarshalTo(dst []byte) ([]byte, error) {
 	if len(p.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d bytes, max %d", ErrBadPacket, len(p.Payload), MaxPayload)
 	}
@@ -87,20 +98,27 @@ func (p *DataPacket) Marshal() ([]byte, error) {
 	if p.Header.User > NoUser {
 		return nil, fmt.Errorf("%w: user ID %d exceeds 6 bits", ErrBadPacket, p.Header.User)
 	}
-	w := bitio.NewWriter(phy.CodewordInfoBits)
-	w.PutBits(uint64(TypeData), typeBits)
-	w.PutBits(uint64(p.Header.User), UserIDBits)
-	w.PutBits(uint64(p.Header.MoreSlots), moreSlotsBits)
-	w.PutBits(uint64(p.Header.MsgID), msgIDBits)
-	w.PutBits(uint64(p.Header.Frag), fragBits)
-	w.PutBits(uint64(p.Header.FragTotal), fragBits)
-	w.PutBits(uint64(len(p.Payload)), payloadLenBits)
-	w.PutBits(0, headerBits-52) // pad header to a whole byte count
-	w.PutBytes(p.Payload)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: data packet: %w", ErrBadPacket, err)
-	}
-	return w.Bytes(), nil
+	dst, buf := appendZeros(dst, phy.CodewordInfoBytes)
+	nbit := bitio.PutBitsAt(buf, 0, uint64(TypeData), typeBits)
+	nbit = bitio.PutBitsAt(buf, nbit, uint64(p.Header.User), UserIDBits)
+	nbit = bitio.PutBitsAt(buf, nbit, uint64(p.Header.MoreSlots), moreSlotsBits)
+	nbit = bitio.PutBitsAt(buf, nbit, uint64(p.Header.MsgID), msgIDBits)
+	nbit = bitio.PutBitsAt(buf, nbit, uint64(p.Header.Frag), fragBits)
+	nbit = bitio.PutBitsAt(buf, nbit, uint64(p.Header.FragTotal), fragBits)
+	bitio.PutBitsAt(buf, nbit, uint64(len(p.Payload)), payloadLenBits)
+	// The remaining header bits pad it to a whole byte count.
+	copy(buf[headerBytes:], p.Payload)
+	return dst, nil
+}
+
+// appendZeros extends dst by n zero bytes, returning the extended slice
+// and its new n-byte tail.
+func appendZeros(dst []byte, n int) ([]byte, []byte) {
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
+	tail := dst[off:]
+	clear(tail)
+	return dst, tail
 }
 
 // RegistrationRequest asks the base station to admit a new subscriber
@@ -225,24 +243,28 @@ const GPSReportBytes = phy.GPSPacketSymbols * phy.BitsPerSymbol / 8
 
 // Marshal packs the report plus checksum into the GPS packet body.
 func (g *GPSReport) Marshal() ([]byte, error) {
+	return g.MarshalTo(nil)
+}
+
+// MarshalTo packs the report like Marshal but appends the GPS packet
+// body to dst, so a reused buffer makes the encode allocation-free.
+//
+//lint:ignore codecpair UnmarshalGPSReport is the round-trip counterpart; the analyzer pairs by name suffix only
+func (g *GPSReport) MarshalTo(dst []byte) ([]byte, error) {
 	if g.User > NoUser {
 		return nil, fmt.Errorf("%w: user ID %d exceeds 6 bits", ErrBadPacket, g.User)
 	}
 	if g.Latitude >= 1<<24 || g.Longitude >= 1<<24 {
 		return nil, fmt.Errorf("%w: coordinates exceed 24 bits", ErrBadPacket)
 	}
-	w := bitio.NewWriter(GPSReportBytes * 8)
-	w.PutBits(uint64(g.User), UserIDBits)
-	w.PutBits(uint64(g.Sequence), 16)
-	w.PutBits(uint64(g.Latitude), 24)
-	w.PutBits(uint64(g.Longitude), 24)
-	w.PutBits(0, 2) // pad to the 72-bit report boundary
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: GPS report: %w", ErrBadPacket, err)
-	}
-	body := w.Bytes()
+	dst, body := appendZeros(dst, GPSReportBytes)
+	nbit := bitio.PutBitsAt(body, 0, uint64(g.User), UserIDBits)
+	nbit = bitio.PutBitsAt(body, nbit, uint64(g.Sequence), 16)
+	nbit = bitio.PutBitsAt(body, nbit, uint64(g.Latitude), 24)
+	bitio.PutBitsAt(body, nbit, uint64(g.Longitude), 24)
+	// Two zero bits pad the report to its 72-bit boundary.
 	body[9] = xorChecksum(body[:9])
-	return body, nil
+	return dst, nil
 }
 
 // UnmarshalGPSReport parses and validates a GPS packet body. A checksum

@@ -326,9 +326,13 @@ func (p *Program) analyzeBody(node *FuncNode, impls map[*types.Func][]*FuncNode)
 // shapes are recognized, both anchored on the tracing seam:
 //
 //	if x.tracing() { ... }        // body gated
-//	if t != nil { ... }           // body gated (t of a dynamic iface type)
+//	if t != nil { ... }           // body gated (t of a Tracer type)
 //	if t == nil { return }        // statements after the guard gated
 //	if !x.tracing() { return }    // statements after the guard gated
+//
+// A nil check on any other seam (a channel model, a scheduling policy)
+// gates nothing: those run with tracing off, so their implementations
+// stay under the zero-alloc contract.
 func gatedIntervals(body *ast.BlockStmt, info *types.Info) []posInterval {
 	var out []posInterval
 	var scanList func(list []ast.Stmt)
@@ -363,14 +367,14 @@ func gatedIntervals(body *ast.BlockStmt, info *types.Info) []posInterval {
 }
 
 // tracingEnabledCond matches `x.tracing()` and `t != nil` for t of a
-// dynamic interface type.
+// Tracer type.
 func tracingEnabledCond(cond ast.Expr, info *types.Info) bool {
 	cond = ast.Unparen(cond)
 	if call, ok := cond.(*ast.CallExpr); ok {
 		return isTracingCall(call, info)
 	}
 	if bin, ok := cond.(*ast.BinaryExpr); ok && bin.Op == token.NEQ {
-		return dynamicIfaceNilCheck(bin, info)
+		return tracerNilCheck(bin, info)
 	}
 	return false
 }
@@ -385,7 +389,7 @@ func tracingDisabledCond(cond ast.Expr, info *types.Info) bool {
 		return false
 	}
 	if bin, ok := cond.(*ast.BinaryExpr); ok && bin.Op == token.EQL {
-		return dynamicIfaceNilCheck(bin, info)
+		return tracerNilCheck(bin, info)
 	}
 	return false
 }
@@ -400,9 +404,9 @@ func isTracingCall(call *ast.CallExpr, info *types.Info) bool {
 	return ok && fn.Pkg() != nil
 }
 
-// dynamicIfaceNilCheck matches `expr <op> nil` where expr's type is one
-// of the dynamic interfaces (in practice: the Tracer seam).
-func dynamicIfaceNilCheck(bin *ast.BinaryExpr, info *types.Info) bool {
+// tracerNilCheck matches `expr <op> nil` where expr's type is the
+// Tracer seam interface.
+func tracerNilCheck(bin *ast.BinaryExpr, info *types.Info) bool {
 	expr := bin.X
 	other := bin.Y
 	if isNilIdent(other, info) {
@@ -420,7 +424,7 @@ func dynamicIfaceNilCheck(bin *ast.BinaryExpr, info *types.Info) bool {
 	if !ok || !types.IsInterface(named) {
 		return false
 	}
-	return dynamicInterfaceNames[named.Obj().Name()]
+	return named.Obj().Name() == "Tracer"
 }
 
 func isNilIdent(e ast.Expr, info *types.Info) bool {

@@ -134,9 +134,7 @@ func (m TwoRegime) Corrupt(cw []byte, rng *sim.RNG) int {
 	if rng.Bool(m.PLoss) {
 		// Burst: corrupt well past any correction radius.
 		n := len(cw)/2 + rng.Intn(len(cw)/2+1)
-		for _, p := range rng.Shuffled(len(cw))[:n] {
-			cw[p] ^= byte(rng.UniformInt(1, 255))
-		}
+		flipDistinct(cw, n, rng)
 		return n
 	}
 	maxC := m.MaxCorrectable
@@ -147,10 +145,31 @@ func (m TwoRegime) Corrupt(cw []byte, rng *sim.RNG) int {
 		return 0
 	}
 	n := rng.Intn(maxC + 1)
-	for _, p := range rng.Shuffled(len(cw))[:n] {
+	flipDistinct(cw, n, rng)
+	return n
+}
+
+// maxStackWord is the longest transmission unit whose position shuffle
+// runs in a stack array: a full control-field set is 128 bytes and an
+// RS codeword at most 255.
+const maxStackWord = 256
+
+// flipDistinct XORs a random nonzero byte into n distinct positions of
+// cw: the first n entries of a uniform permutation of its indices. The
+// whole permutation is drawn even when n is small, exactly as
+// rng.Shuffled(len(cw)) draws it, so every seeded run keeps its bytes.
+func flipDistinct(cw []byte, n int, rng *sim.RNG) {
+	var stack [maxStackWord]int
+	var perm []int
+	if len(cw) <= len(stack) {
+		perm = stack[:len(cw)]
+	} else {
+		//lint:ignore hotpathalloc words longer than maxStackWord never reach the channel (the longest unit is the 128-byte control-field set); the heap fallback only keeps the public ErrorModel total
+		perm = make([]int, len(cw))
+	}
+	for _, p := range rng.ShuffledInto(perm)[:n] {
 		cw[p] ^= byte(rng.UniformInt(1, 255))
 	}
-	return n
 }
 
 // Name implements ErrorModel.

@@ -181,3 +181,67 @@ func TestModelNames(t *testing.T) {
 		seen[name] = true
 	}
 }
+
+// refTwoRegimeCorrupt is TwoRegime.Corrupt as it was written over
+// rng.Shuffled, kept as the differential reference for the stack
+// shuffle.
+func refTwoRegimeCorrupt(m TwoRegime, cw []byte, rng *sim.RNG) int {
+	if rng.Bool(m.PLoss) {
+		n := len(cw)/2 + rng.Intn(len(cw)/2+1)
+		for _, p := range rng.Shuffled(len(cw))[:n] {
+			cw[p] ^= byte(rng.UniformInt(1, 255))
+		}
+		return n
+	}
+	maxC := m.MaxCorrectable
+	if maxC < 0 {
+		maxC = 0
+	}
+	if maxC == 0 {
+		return 0
+	}
+	n := rng.Intn(maxC + 1)
+	for _, p := range rng.Shuffled(len(cw))[:n] {
+		cw[p] ^= byte(rng.UniformInt(1, 255))
+	}
+	return n
+}
+
+func TestTwoRegimeMatchesShuffledReference(t *testing.T) {
+	models := []TwoRegime{
+		{PLoss: 0.05, MaxCorrectable: 8},
+		{PLoss: 0.5, MaxCorrectable: 3},
+		{PLoss: 1, MaxCorrectable: 8},
+		{PLoss: 0, MaxCorrectable: 0},
+	}
+	for _, size := range []int{1, 32, 64, 128, 255, 256, 300} {
+		for mi, m := range models {
+			if m.MaxCorrectable > size {
+				m.MaxCorrectable = size
+			}
+			got, want := sim.NewRNG(uint64(size*10+mi)), sim.NewRNG(uint64(size*10+mi))
+			gw, ww := make([]byte, size), make([]byte, size)
+			for i := 0; i < 200; i++ {
+				gn, wn := m.Corrupt(gw, got), refTwoRegimeCorrupt(m, ww, want)
+				if gn != wn || !bytes.Equal(gw, ww) {
+					t.Fatalf("size %d, %s, call %d: Corrupt changed %d bytes to %x; reference %d, %x",
+						size, m.Name(), i, gn, gw, wn, ww)
+				}
+				if got.Uint64() != want.Uint64() {
+					t.Fatalf("size %d, %s, call %d: generator streams diverged", size, m.Name(), i)
+				}
+			}
+		}
+	}
+}
+
+func TestTwoRegimeCorruptAllocFree(t *testing.T) {
+	for _, size := range []int{64, 128} {
+		rng := sim.NewRNG(9)
+		m := TwoRegime{PLoss: 0.3, MaxCorrectable: 8}
+		cw := make([]byte, size)
+		if n := testing.AllocsPerRun(200, func() { m.Corrupt(cw, rng) }); n != 0 {
+			t.Errorf("TwoRegime.Corrupt on %d-byte words: %v allocs/op, want 0", size, n)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/osu-netlab/osumac/internal/sim"
@@ -94,5 +95,47 @@ func TestDecodeToErrorPathAllocBound(t *testing.T) {
 		}
 	}); n > errorPathAllocBound {
 		t.Errorf("worst-case DecodeTo: %v allocs/op, want <= %d", n, errorPathAllocBound)
+	}
+}
+
+// TestDecodeToCorrectionFitsMessageBuffer pins that correcting t errors
+// needs room for only the k message bytes in dst: the correction runs
+// on pooled scratch, so a dst sized for the message (as Decode and the
+// control-field decoders size theirs) never grows.
+func TestDecodeToCorrectionFitsMessageBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c := NewPaperCode()
+	rng := sim.NewRNG(6)
+	msg := make([]byte, c.K())
+	for i := range msg {
+		msg[i] = byte(rng.Uint64())
+	}
+	corrupted, err := c.Encode(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rng.Shuffled(len(corrupted))[:c.T()] {
+		corrupted[p] ^= byte(rng.UniformInt(1, 255))
+	}
+	// Every run hands DecodeTo the same cap-k buffer, so a decode that
+	// needs more room allocates on every run.
+	buf := make([]byte, 0, c.K())
+	if _, err := c.DecodeTo(buf, corrupted); err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	if n := testing.AllocsPerRun(200, func() {
+		var err error
+		out, err = c.DecodeTo(buf, corrupted)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("t-error DecodeTo into a cap-k dst: %v allocs/op, want 0", n)
+	}
+	if !bytes.Equal(out, msg) {
+		t.Errorf("decoded %x, want %x", out, msg)
 	}
 }

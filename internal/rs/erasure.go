@@ -101,7 +101,7 @@ func (c *Code) DecodeWithErasures(cw []byte, erasures []int) ([]byte, error) {
 		return nil, err
 	}
 
-	if !c.syndromesInto(s.syn, out) {
+	if !c.recheck(s, out, positions) {
 		return nil, ErrTooManyErrors
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 )
 
@@ -60,7 +61,7 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.next()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
@@ -109,12 +110,22 @@ func (r *RNG) UniformInt(lo, hi int) int {
 
 // Shuffled returns a random permutation of the integers [0, n).
 func (r *RNG) Shuffled(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+	return r.ShuffledInto(make([]int, n))
+}
+
+// ShuffledInto fills dst with a random permutation of the integers
+// [0, len(dst)) and returns it. It draws exactly what Shuffled(len(dst))
+// draws and yields the same permutation, but into caller memory, so a
+// stack array keeps a per-codeword shuffle off the heap.
+func (r *RNG) ShuffledInto(dst []int) []int {
+	for i := range dst {
+		dst[i] = i
 	}
-	r.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	for i := len(dst) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		dst[i], dst[j] = dst[j], dst[i]
+	}
+	return dst
 }
 
 // Shuffle permutes the first n elements using swap, Fisher–Yates style.
@@ -123,25 +134,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid1 := t & mask
-	c1 := t >> 32
-	t = aLo*bHi + mid1
-	mid2 := t & mask
-	c2 := t >> 32
-	hi = aHi*bHi + c1 + c2
-	lo |= mid2 << 32
-	return hi, lo
 }
 
 // fnv1a hashes a string with 64-bit FNV-1a.

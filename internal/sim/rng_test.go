@@ -245,3 +245,39 @@ func TestShuffledIsPermutation(t *testing.T) {
 		t.Fatal("Shuffled(0) should be empty")
 	}
 }
+
+// refShuffled is the closure-based Shuffled that ShuffledInto replaced,
+// kept as the differential reference.
+func refShuffled(r *RNG, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func TestShuffledIntoMatchesShuffled(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 64, 128, 255} {
+		for seed := uint64(0); seed < 8; seed++ {
+			want, ref := NewRNG(seed), NewRNG(seed)
+			into := NewRNG(seed)
+			wantPerm := refShuffled(ref, n)
+			var stack [255]int
+			gotInto := into.ShuffledInto(stack[:n])
+			gotShuffled := want.Shuffled(n)
+			for i := range wantPerm {
+				if gotInto[i] != wantPerm[i] || gotShuffled[i] != wantPerm[i] {
+					t.Fatalf("n=%d seed=%d: permutations differ at %d: into %d, Shuffled %d, reference %d",
+						n, seed, i, gotInto[i], gotShuffled[i], wantPerm[i])
+				}
+			}
+			if len(gotInto) != n || len(gotShuffled) != n {
+				t.Fatalf("n=%d: lengths %d, %d", n, len(gotInto), len(gotShuffled))
+			}
+			if into.state != ref.state || want.state != ref.state {
+				t.Fatalf("n=%d seed=%d: generator states diverged after the shuffle", n, seed)
+			}
+		}
+	}
+}
