@@ -130,7 +130,10 @@ func runTournamentCell(proto string, load float64, cfg TournamentConfig) (*tourn
 		return nil, fmt.Errorf("tournament: %s at load %.2f: %d invariant violation(s), first: %s (%s)",
 			proto, load, len(rep.Violations), v.Invariant, v.Detail)
 	}
-	set := span.Stitch(buf.Events())
+	set, err := stitchCell(proto, load, buf)
+	if err != nil {
+		return nil, err
+	}
 	return &tournamentCell{m: res.Metrics, dist: span.NewDistribution(set)}, nil
 }
 
@@ -151,8 +154,23 @@ func runTournamentOSUMAC(load float64, cfg TournamentConfig) (*tournamentCell, e
 	if err != nil {
 		return nil, err
 	}
-	set := span.Stitch(buf.Events())
+	set, err := stitchCell(OSUMACName, load, buf)
+	if err != nil {
+		return nil, err
+	}
 	return &tournamentCell{m: adaptOSUMAC(res, set), dist: span.NewDistribution(set)}, nil
+}
+
+// stitchCell stitches one cell's recorded trace. A buffer that filled
+// up dropped its oldest events, and messages queued before the drop
+// would stitch as partial traces that skew the league's delays and
+// phase shares, so a drop fails the tournament like an invariant
+// breach does.
+func stitchCell(proto string, load float64, buf *core.TraceBuffer) (*span.Set, error) {
+	if d := buf.Dropped(); d > 0 {
+		return nil, fmt.Errorf("tournament: %s at load %.2f: trace buffer dropped %d event(s)", proto, load, d)
+	}
+	return span.Stitch(buf.Events()), nil
 }
 
 // adaptOSUMAC maps an OSU-MAC result onto the baseline metric bundle so

@@ -109,3 +109,24 @@ func TestTournamentDefaultField(t *testing.T) {
 		t.Fatal("oversized user population accepted")
 	}
 }
+
+// TestTournamentRefusesTruncatedTrace fills a cell's trace buffer: the
+// tournament must fail naming the cell, not stitch a truncated trace.
+func TestTournamentRefusesTruncatedTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records over a million trace events")
+	}
+	_, err := Tournament(TournamentConfig{
+		Seed: 1, Users: 60, Frames: 8000,
+		Loads:     []float64{0.9},
+		Protocols: []string{"prma"},
+	})
+	if err == nil {
+		t.Fatal("tournament stitched a truncated trace")
+	}
+	for _, want := range []string{"prma", "0.90", "dropped"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}

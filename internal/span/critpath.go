@@ -156,11 +156,10 @@ type Distribution struct {
 
 // NewDistribution aggregates every trace's critical path.
 func NewDistribution(set *Set) *Distribution {
-	d := &Distribution{}
-	stats := make(map[Phase]*PhaseStats, phaseCount)
-	for _, p := range AllPhases() {
-		stats[p] = &PhaseStats{
-			Phase:   p.String(),
+	d := &Distribution{Phases: make([]PhaseStats, phaseCount-1)}
+	for i := range d.Phases {
+		d.Phases[i] = PhaseStats{
+			Phase:   Phase(i + 1).String(),
 			Buckets: make([]uint64, len(PhaseBucketBounds)+1),
 		}
 	}
@@ -176,11 +175,12 @@ func NewDistribution(set *Set) *Distribution {
 			d.Stale++
 		}
 		d.Retx += t.Retx
-		for _, s := range t.Spans {
+		for j := range t.Spans {
+			s := &t.Spans[j]
 			if s.Phase == 0 {
 				continue
 			}
-			ps := stats[s.Phase]
+			ps := &d.Phases[s.Phase-1]
 			sec := s.Duration().Seconds()
 			ps.Count++
 			ps.TotalSeconds += sec
@@ -190,9 +190,6 @@ func NewDistribution(set *Set) *Distribution {
 			i := sort.SearchFloat64s(PhaseBucketBounds, sec)
 			ps.Buckets[i]++
 		}
-	}
-	for _, p := range AllPhases() {
-		d.Phases = append(d.Phases, *stats[p])
 	}
 	return d
 }

@@ -253,16 +253,3 @@ func (s *Set) Violations() []*Trace {
 	}
 	return out
 }
-
-// traceID builds the stable trace identifier. n disambiguates per-user
-// msgID reuse (uint16 wrap on very long runs): 0 yields the plain form.
-func traceID(kind TraceKind, user frame.UserID, id, n int) string {
-	tag := "m"
-	if kind == KindGPS {
-		tag = "g"
-	}
-	if n == 0 {
-		return fmt.Sprintf("u%d-%s%d", user, tag, id)
-	}
-	return fmt.Sprintf("u%d-%s%d#%d", user, tag, id, n)
-}

@@ -1,10 +1,13 @@
 package span
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"github.com/osu-netlab/osumac/internal/core"
 	"github.com/osu-netlab/osumac/internal/frame"
@@ -26,8 +29,8 @@ import (
 func Stitch(events []core.TraceEvent) *Set {
 	st := newStitcher()
 	st.indexCycles(events)
-	for _, e := range events {
-		st.consume(e)
+	for i := range events {
+		st.consume(&events[i])
 	}
 	st.finish()
 	return st.set
@@ -63,7 +66,6 @@ type cycleInfo struct {
 	atKnown       bool
 	format        core.ReverseFormat // 0 when unparseable
 	baselineSlots int                // >0 for baseline frames
-	gpsGrant      map[frame.UserID]int
 }
 
 // fragSeg is one received data fragment placed on the timeline.
@@ -71,49 +73,57 @@ type fragSeg struct {
 	cycle, slot                 int
 	grantAt, slotStart, slotEnd time.Duration
 	format                      core.ReverseFormat
-	detail                      string
+	frag, total                 int
+	retx                        bool
 }
 
 // msgBuilder accumulates one uplink message lifecycle.
 type msgBuilder struct {
 	tr          *Trace
+	n           int // earlier traces of this user and msgID (see finalizer.begin)
 	firstContTx time.Duration
 	contCount   int
 	demandAt    time.Duration
 	hasDemand   bool
 	hasCont     bool
 	frags       []fragSeg
-	fragSeen    map[int]bool
 	partial     bool
 }
 
-// gpsBuilder accumulates one GPS report lifecycle.
+// gpsBuilder accumulates one GPS report lifecycle; tr is nil when the
+// user has no report open.
 type gpsBuilder struct {
 	tr         *Trace
 	lateDetail string
 }
 
+// userKey pairs a user with a message ID or a cycle number.
+type userKey struct {
+	user frame.UserID
+	n    int
+}
+
 type stitcher struct {
 	set      *Set
-	cycles   map[int]*cycleInfo
-	cycleIdx []int // sorted cycle numbers with known start times
-	layouts  map[core.ReverseFormat]core.Layout
-	msgs     map[frame.UserID][]*msgBuilder
-	gps      map[frame.UserID]*gpsBuilder
-	gpsSeq   map[frame.UserID]int
-	idSeen   map[string]int
+	cycles   map[int]cycleInfo
+	cycleIdx []int           // sorted cycle numbers with known start times
+	gpsGrant map[userKey]int // (user, cycle) → GPS slot granted
+	layouts  [2]core.Layout  // Format1, Format2; built on first use
+	msgs     [1 << 8][]*msgBuilder
+	free     []*msgBuilder // builders of completed messages, for reuse
+	gps      [1 << 8]gpsBuilder
+	gpsSeq   [1 << 8]int
+	idSeen   map[userKey]int // (user, msgID) → traces opened
 	lastAt   time.Duration
+	fin      finalizer
 }
 
 func newStitcher() *stitcher {
 	return &stitcher{
-		set:     &Set{},
-		cycles:  make(map[int]*cycleInfo),
-		layouts: make(map[core.ReverseFormat]core.Layout),
-		msgs:    make(map[frame.UserID][]*msgBuilder),
-		gps:     make(map[frame.UserID]*gpsBuilder),
-		gpsSeq:  make(map[frame.UserID]int),
-		idSeen:  make(map[string]int),
+		set:      &Set{},
+		cycles:   make(map[int]cycleInfo),
+		gpsGrant: make(map[userKey]int),
+		idSeen:   make(map[userKey]int),
 	}
 }
 
@@ -121,10 +131,11 @@ func newStitcher() *stitcher {
 // grant table before the stitching pass, so slot math and per-cycle
 // wait attribution never depend on event lookahead.
 func (st *stitcher) indexCycles(events []core.TraceEvent) {
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		switch e.Kind {
 		case core.EventCycleStart:
-			ci := st.cycle(e.Cycle)
+			ci := st.cycles[e.Cycle]
 			if !ci.atKnown {
 				ci.at = e.At
 				ci.atKnown = true
@@ -136,10 +147,11 @@ func (st *stitcher) indexCycles(events []core.TraceEvent) {
 			case core.Format2.String():
 				ci.format = core.Format2
 			}
+			st.cycles[e.Cycle] = ci
 		case core.EventFrameStart:
 			// Baseline-protocol frame boundary: the frame-level analogue
 			// of EventCycleStart, with the data-slot count in Slot.
-			ci := st.cycle(e.Cycle)
+			ci := st.cycles[e.Cycle]
 			if !ci.atKnown {
 				ci.at = e.At
 				ci.atKnown = true
@@ -148,6 +160,7 @@ func (st *stitcher) indexCycles(events []core.TraceEvent) {
 			if e.Slot > 0 {
 				ci.baselineSlots = e.Slot
 			}
+			st.cycles[e.Cycle] = ci
 			// A frame-start announces a whole frame, so the stream is
 			// known to extend to the frame's end even if no later event
 			// survives (e.g. under user sampling, where only this
@@ -158,41 +171,27 @@ func (st *stitcher) indexCycles(events []core.TraceEvent) {
 				st.lastAt = end
 			}
 		case core.EventGPSSlotGrant:
-			ci := st.cycle(e.Cycle)
-			if ci.gpsGrant == nil {
-				ci.gpsGrant = make(map[frame.UserID]int)
-			}
-			ci.gpsGrant[e.User] = e.Slot
+			st.gpsGrant[userKey{e.User, e.Cycle}] = e.Slot
 		}
 		if e.Cycle+1 > st.set.Cycles {
 			st.set.Cycles = e.Cycle + 1
 		}
 	}
-	sort.Ints(st.cycleIdx)
+	slices.Sort(st.cycleIdx)
 }
 
-func (st *stitcher) cycle(k int) *cycleInfo {
-	ci := st.cycles[k]
-	if ci == nil {
-		ci = &cycleInfo{}
-		st.cycles[k] = ci
-	}
-	return ci
-}
-
-func (st *stitcher) layout(f core.ReverseFormat) (core.Layout, bool) {
+func (st *stitcher) layout(f core.ReverseFormat) (*core.Layout, bool) {
 	if f != core.Format1 && f != core.Format2 {
-		return core.Layout{}, false
+		return nil, false
 	}
-	l, ok := st.layouts[f]
-	if !ok {
-		l = core.NewLayout(f)
-		st.layouts[f] = l
+	l := &st.layouts[f-core.Format1]
+	if l.Format == 0 {
+		*l = core.NewLayout(f)
 	}
 	return l, true
 }
 
-func (st *stitcher) consume(e core.TraceEvent) {
+func (st *stitcher) consume(e *core.TraceEvent) {
 	st.set.Events++
 	if e.At > st.lastAt {
 		st.lastAt = e.At
@@ -228,8 +227,8 @@ func (st *stitcher) consume(e core.TraceEvent) {
 			}
 		}
 	case core.EventDataRx:
-		var msgID, frag, total int
-		if _, err := fmt.Sscanf(e.Detail, "msg=%d frag=%d/%d", &msgID, &frag, &total); err != nil {
+		msgID, frag, total, ok := fragDetail(e.Detail)
+		if !ok {
 			return
 		}
 		b := st.findMsg(e.User, msgID)
@@ -240,12 +239,14 @@ func (st *stitcher) consume(e core.TraceEvent) {
 			b.partial = true
 		}
 		seg := st.dataSlotTimes(e.Cycle, e.Slot, e.At)
-		seg.detail = fmt.Sprintf("frag %d/%d", frag, total)
-		if b.fragSeen[frag] {
-			b.tr.Retx++
-			seg.detail += " (retx)"
+		seg.frag, seg.total = frag, total
+		for i := range b.frags {
+			if b.frags[i].frag == frag {
+				b.tr.Retx++
+				seg.retx = true
+				break
+			}
 		}
-		b.fragSeen[frag] = true
 		if !b.hasDemand {
 			// Served without an observed request (e.g. lump allocation
 			// from an earlier piggyback): demand was implicitly known by
@@ -267,20 +268,21 @@ func (st *stitcher) consume(e core.TraceEvent) {
 		}
 		if b := st.findMsg(e.User, msgID); b != nil {
 			st.closeMsg(b, e.At, true, "")
+			st.free = append(st.free, b)
 		}
 	case core.EventGPSQueued:
 		if e.User == frame.NoUser {
 			return
 		}
-		if b := st.gps[e.User]; b != nil {
+		if b := &st.gps[e.User]; b.tr != nil {
 			// No violation event preceded (filtered stream): close the
 			// superseded report explicitly rather than leaking it.
 			st.closeGPSWait(b, e.At, false, false, "replaced")
 		}
 		st.openGPS(e.User, e.At)
 	case core.EventGPSDeadlineViolation:
-		b := st.gps[e.User]
-		if b == nil {
+		b := &st.gps[e.User]
+		if b.tr == nil {
 			return
 		}
 		if strings.HasPrefix(e.Detail, "stale") {
@@ -291,56 +293,59 @@ func (st *stitcher) consume(e core.TraceEvent) {
 			b.tr.Violation = true
 			b.lateDetail = e.Detail
 		}
-	case core.EventGPSRx:
-		if b := st.gps[e.User]; b != nil {
-			st.closeGPSServed(b, e, true, e.Detail)
-		}
-	case core.EventGPSLost:
-		if b := st.gps[e.User]; b != nil {
-			st.closeGPSServed(b, e, false, "lost on air: "+e.Detail)
+	case core.EventGPSRx, core.EventGPSLost:
+		if b := &st.gps[e.User]; b.tr != nil {
+			st.closeGPSServed(b, e)
 		}
 	}
 }
 
-// finish closes every still-open lifecycle at the stream end.
+// finish closes every still-open lifecycle at the stream end. It ranges
+// over each user's open messages as listed on entry while closeMsg
+// removes from that same backing array, so a user left with three or
+// more has one closed twice (its trace listed twice) and one never
+// closed. The pinned tournament digests include that output.
 func (st *stitcher) finish() {
-	for _, bs := range st.msgs {
-		for _, b := range bs {
+	for u := range st.msgs {
+		for _, b := range st.msgs[u] {
 			st.closeMsg(b, st.lastAt, false, "unfinished at trace end")
 		}
 	}
-	for _, b := range st.gps {
-		st.closeGPSWait(b, st.lastAt, false, false, "unfinished at trace end")
+	for u := range st.gps {
+		if b := &st.gps[u]; b.tr != nil {
+			st.closeGPSWait(b, st.lastAt, false, false, "unfinished at trace end")
+		}
 	}
-	st.msgs = make(map[frame.UserID][]*msgBuilder)
-	st.gps = make(map[frame.UserID]*gpsBuilder)
-	sort.SliceStable(st.set.Traces, func(i, j int) bool {
-		a, b := st.set.Traces[i], st.set.Traces[j]
+	slices.SortStableFunc(st.set.Traces, func(a, b *Trace) int {
 		if a.Start != b.Start {
-			return a.Start < b.Start
+			return cmp.Compare(a.Start, b.Start)
 		}
 		if a.User != b.User {
-			return a.User < b.User
+			return cmp.Compare(a.User, b.User)
 		}
-		return a.ID < b.ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }
 
 func (st *stitcher) openMsg(user frame.UserID, msgID, bytes int, at time.Duration) *msgBuilder {
-	base := traceID(KindMessage, user, msgID, 0)
-	n := st.idSeen[base]
-	st.idSeen[base] = n + 1
-	b := &msgBuilder{
-		tr: &Trace{
-			ID:       traceID(KindMessage, user, msgID, n),
-			Kind:     KindMessage,
-			KindName: KindMessage.String(),
-			User:     user,
-			MsgID:    msgID,
-			Bytes:    bytes,
-			Start:    at,
-		},
-		fragSeen: make(map[int]bool),
+	key := userKey{user, msgID}
+	n := st.idSeen[key]
+	st.idSeen[key] = n + 1
+	var b *msgBuilder
+	if k := len(st.free); k > 0 {
+		b, st.free = st.free[k-1], st.free[:k-1]
+		*b = msgBuilder{frags: b.frags[:0]}
+	} else {
+		b = &msgBuilder{}
+	}
+	b.n = n
+	b.tr = &Trace{
+		Kind:     KindMessage,
+		KindName: KindMessage.String(),
+		User:     user,
+		MsgID:    msgID,
+		Bytes:    bytes,
+		Start:    at,
 	}
 	st.msgs[user] = append(st.msgs[user], b)
 	return b
@@ -368,9 +373,8 @@ func (st *stitcher) removeMsg(b *msgBuilder) {
 func (st *stitcher) openGPS(user frame.UserID, at time.Duration) {
 	seq := st.gpsSeq[user]
 	st.gpsSeq[user] = seq + 1
-	st.gps[user] = &gpsBuilder{
+	st.gps[user] = gpsBuilder{
 		tr: &Trace{
-			ID:       traceID(KindGPS, user, seq, 0),
 			Kind:     KindGPS,
 			KindName: KindGPS.String(),
 			User:     user,
@@ -386,9 +390,9 @@ func (st *stitcher) openGPS(user frame.UserID, at time.Duration) {
 // so the slot's owning cycle is found by checking which candidate's
 // layout reproduces the observed end time exactly.
 func (st *stitcher) dataSlotTimes(evCycle, slot int, at time.Duration) fragSeg {
-	for _, c := range []int{evCycle, evCycle - 1} {
+	for _, c := range [...]int{evCycle, evCycle - 1} {
 		ci := st.cycles[c]
-		if ci == nil || !ci.atKnown {
+		if !ci.atKnown {
 			continue
 		}
 		if ci.baselineSlots > 0 {
@@ -430,7 +434,7 @@ func (st *stitcher) dataSlotTimes(evCycle, slot int, at time.Duration) fragSeg {
 	// Unknown format or synthetic stream: degrade to a zero-width slot
 	// at the observation time.
 	seg := fragSeg{cycle: evCycle, slot: slot, grantAt: at, slotStart: at, slotEnd: at}
-	if ci := st.cycles[evCycle]; ci != nil && ci.atKnown && ci.at <= at {
+	if ci := st.cycles[evCycle]; ci.atKnown && ci.at <= at {
 		seg.grantAt = ci.at
 		seg.format = ci.format
 	}
@@ -440,10 +444,7 @@ func (st *stitcher) dataSlotTimes(evCycle, slot int, at time.Duration) fragSeg {
 // gpsSlotTimes returns the slot interval for a GPS transmission whose
 // start time is known (EventGPSRx/EventGPSLost fire at slot start).
 func (st *stitcher) gpsSlotTimes(cycle, slot int, start time.Duration) (end time.Duration, format core.ReverseFormat) {
-	ci := st.cycles[cycle]
-	if ci == nil {
-		return start, 0
-	}
+	ci := st.cycles[cycle] // the zero entry of an unknown cycle has no format
 	l, ok := st.layout(ci.format)
 	if !ok || slot < 0 || slot >= len(l.GPS) {
 		return start, ci.format
@@ -462,8 +463,8 @@ func (st *stitcher) closeMsg(b *msgBuilder, end time.Duration, complete bool, de
 		tr.End = tr.Start
 	}
 
-	f := newFinalizer(tr)
-	sort.SliceStable(b.frags, func(i, j int) bool { return b.frags[i].slotStart < b.frags[j].slotStart })
+	f := st.fin.begin(tr, b.n)
+	slices.SortStableFunc(b.frags, func(x, y fragSeg) int { return cmp.Compare(x.slotStart, y.slotStart) })
 
 	cursor := tr.Start
 	if b.hasDemand && b.demandAt > cursor {
@@ -475,8 +476,8 @@ func (st *stitcher) closeMsg(b *msgBuilder, end time.Duration, complete bool, de
 			if from < cursor {
 				from = cursor
 			}
-			f.add(PhaseContention, from, b.demandAt, -1, -1, "",
-				fmt.Sprintf("%d reservation attempt(s)", b.contCount))
+			f.arena = f.arena.num(b.contCount).str(" reservation attempt(s)")
+			f.add(PhaseContention, from, b.demandAt, -1, -1, "", "")
 		} else {
 			f.add(PhaseQueueWait, cursor, b.demandAt, -1, -1, "", "")
 		}
@@ -492,7 +493,11 @@ func (st *stitcher) closeMsg(b *msgBuilder, end time.Duration, complete bool, de
 			cursor = seg.slotStart
 		}
 		if seg.slotEnd > cursor {
-			f.add(PhaseAirtime, cursor, seg.slotEnd, seg.cycle, seg.slot, formatName(seg.format), seg.detail)
+			f.arena = f.arena.str("frag ").num(seg.frag).str("/").num(seg.total)
+			if seg.retx {
+				f.arena = f.arena.str(" (retx)")
+			}
+			f.add(PhaseAirtime, cursor, seg.slotEnd, seg.cycle, seg.slot, formatName(seg.format), "")
 			cursor = seg.slotEnd
 		}
 	}
@@ -503,34 +508,28 @@ func (st *stitcher) closeMsg(b *msgBuilder, end time.Duration, complete bool, de
 		f.add(PhaseDecode, tr.End, tr.End, -1, -1, "", "rs decode + reassembly")
 	}
 
-	rootName := fmt.Sprintf("msg %d", tr.MsgID)
-	if tr.Bytes > 0 {
-		rootName = fmt.Sprintf("msg %d (%dB)", tr.MsgID, tr.Bytes)
-	}
-	rootDetail := detail
+	partial := ""
 	if b.partial {
-		if rootDetail != "" {
-			rootDetail += "; "
-		}
-		rootDetail += "queued before capture start"
+		partial = "queued before capture start"
 	}
-	f.seal(rootName, rootDetail)
+	f.seal(detail, partial)
 	st.set.Traces = append(st.set.Traces, tr)
 }
 
-// closeGPSServed finalizes a GPS report that reached its slot (received
-// or lost on air). e.At is the slot start.
-func (st *stitcher) closeGPSServed(b *gpsBuilder, e core.TraceEvent, complete bool, detail string) {
-	delete(st.gps, e.User)
+// closeGPSServed finalizes a GPS report that reached its slot: received
+// (EventGPSRx) or lost on air (EventGPSLost). e.At is the slot start.
+func (st *stitcher) closeGPSServed(b *gpsBuilder, e *core.TraceEvent) {
 	tr := b.tr
+	b.tr = nil
+	complete := e.Kind == core.EventGPSRx
 	slotStart := e.At
 	slotEnd, format := st.gpsSlotTimes(e.Cycle, e.Slot, slotStart)
 	tr.End = slotEnd
 	tr.Complete = complete
 
-	f := newFinalizer(tr)
+	f := st.fin.begin(tr, 0)
 	cursor := tr.Start
-	if ci := st.cycles[e.Cycle]; ci != nil && ci.atKnown && ci.at > cursor && ci.at < slotStart {
+	if ci := st.cycles[e.Cycle]; ci.atKnown && ci.at > cursor && ci.at < slotStart {
 		// The report waited through earlier cycles: attribute each one,
 		// then hand over to the serving cycle's announcement.
 		if moved := st.addGPSWaitSegments(f, tr.User, cursor, ci.at); moved > cursor {
@@ -545,16 +544,10 @@ func (st *stitcher) closeGPSServed(b *gpsBuilder, e core.TraceEvent, complete bo
 	}
 	if complete {
 		f.add(PhaseDecode, slotEnd, slotEnd, -1, -1, "", "report decode")
+	} else {
+		f.arena = f.arena.str("lost on air: ")
 	}
-
-	rootDetail := detail
-	if b.lateDetail != "" {
-		if rootDetail != "" {
-			rootDetail += "; "
-		}
-		rootDetail += b.lateDetail
-	}
-	f.seal(fmt.Sprintf("gps %d", tr.MsgID), rootDetail)
+	f.seal(e.Detail, b.lateDetail)
 	st.set.Traces = append(st.set.Traces, tr)
 }
 
@@ -562,8 +555,8 @@ func (st *stitcher) closeGPSServed(b *gpsBuilder, e core.TraceEvent, complete bo
 // replacement or stream end): the whole window is wait time, attributed
 // cycle by cycle.
 func (st *stitcher) closeGPSWait(b *gpsBuilder, end time.Duration, violation, stale bool, detail string) {
-	delete(st.gps, b.tr.User)
 	tr := b.tr
+	b.tr = nil
 	tr.End = end
 	tr.Complete = false
 	tr.Violation = tr.Violation || violation
@@ -572,12 +565,12 @@ func (st *stitcher) closeGPSWait(b *gpsBuilder, end time.Duration, violation, st
 		tr.End = tr.Start
 	}
 
-	f := newFinalizer(tr)
+	f := st.fin.begin(tr, 0)
 	cursor := st.addGPSWaitSegments(f, tr.User, tr.Start, tr.End)
 	if tr.End > cursor {
 		f.add(PhaseCFWait, cursor, tr.End, -1, -1, "", "no cycle information")
 	}
-	f.seal(fmt.Sprintf("gps %d", tr.MsgID), detail)
+	f.seal(detail, "")
 	st.set.Traces = append(st.set.Traces, tr)
 }
 
@@ -612,85 +605,155 @@ func (st *stitcher) addGPSWaitSegments(f *finalizer, user frame.UserID, from, to
 		if segEnd <= cursor {
 			continue
 		}
-		slot, granted := -1, false
-		if ci.gpsGrant != nil {
-			slot, granted = gpsGrantFor(ci.gpsGrant, user)
-		}
-		if granted {
-			reason := "granted slot unused"
-			if l, ok := st.layout(ci.format); ok && slot < len(l.GPS) {
-				slotStart := ci.at + l.GPS[slot].Start
-				switch {
-				case slotStart < cursor:
-					reason = fmt.Sprintf("slot %d opened %v before the report arrived", slot, cursor-slotStart)
-				case slotStart >= to:
-					reason = fmt.Sprintf("slot %d opens %v after the report was replaced", slot, slotStart-to)
-				}
-			}
-			f.add(PhaseSlotWait, cursor, segEnd, c, slot, formatName(ci.format), reason)
-		} else {
+		slot, granted := st.gpsGrant[userKey{user, c}]
+		if !granted {
 			f.add(PhaseCFWait, cursor, segEnd, c, -1, "", "no GPS slot granted this cycle")
+			cursor = segEnd
+			continue
 		}
+		if l, ok := st.layout(ci.format); ok && slot < len(l.GPS) {
+			slotStart := ci.at + l.GPS[slot].Start
+			switch {
+			case slotStart < cursor:
+				f.arena = f.arena.str("slot ").num(slot).str(" opened ").str((cursor - slotStart).String()).str(" before the report arrived")
+			case slotStart >= to:
+				f.arena = f.arena.str("slot ").num(slot).str(" opens ").str((slotStart - to).String()).str(" after the report was replaced")
+			}
+		}
+		f.add(PhaseSlotWait, cursor, segEnd, c, slot, formatName(ci.format), "granted slot unused")
 		cursor = segEnd
 	}
 	return cursor
 }
 
-func gpsGrantFor(grants map[frame.UserID]int, user frame.UserID) (int, bool) {
-	s, ok := grants[user]
-	return s, ok
-}
-
 // finalizer assembles a trace's span slice: a root covering the whole
-// lifecycle and one child per critical-path segment.
+// lifecycle and one child per critical-path segment. Every span ID and
+// rendered detail is built in arena, which seal turns into the trace's
+// one string; the spans' ID and detail fields are substrings of it.
+// The stitcher keeps one finalizer and reuses its buffers across traces.
 type finalizer struct {
 	tr     *Trace
-	phases []Span
+	arena  arena
+	idLen  int // the trace ID is arena[:idLen], the root span ID follows it
+	mark   int // arena length after the latest span ID
+	phases []pendingSpan
 	counts [phaseCount]int
 }
 
-func newFinalizer(tr *Trace) *finalizer { return &finalizer{tr: tr} }
+// pendingSpan is a phase span whose SpanID is still arena[lo:hi]; text
+// rendered between the previous span ID and lo is its detail.
+type pendingSpan struct {
+	Span
+	lo, hi int
+}
 
-// add appends a phase span; cycle and slot are -1 when unknown.
+// begin resets f for tr and renders the trace ID and root span ID. The
+// ID scheme (DESIGN §7) is "u<user>-m<msgID>" / "u<user>-g<seq>"; n
+// counts earlier traces of the same user and msgID (uint16 wrap on very
+// long runs) and, when nonzero, follows as "#<n>".
+func (f *finalizer) begin(tr *Trace, n int) *finalizer {
+	f.tr = tr
+	f.phases = f.phases[:0]
+	f.counts = [phaseCount]int{}
+	tag := "-m"
+	if tr.Kind == KindGPS {
+		tag = "-g"
+	}
+	f.arena = f.arena[:0].str("u").num(int(tr.User)).str(tag).num(tr.MsgID)
+	if n != 0 {
+		f.arena = f.arena.str("#").num(n)
+	}
+	f.idLen = len(f.arena)
+	f.arena = f.arena.str(":root")
+	f.mark = len(f.arena)
+	return f
+}
+
+// add appends a phase span; cycle and slot are -1 when unknown. Text
+// the caller rendered into f.arena since the previous span is its
+// detail, or else detail is.
 func (f *finalizer) add(p Phase, start, end time.Duration, cycle, slot int, format, detail string) {
 	if end < start {
+		f.arena = f.arena[:f.mark]
 		return
 	}
+	lo := len(f.arena)
 	i := f.counts[p]
 	f.counts[p]++
-	f.phases = append(f.phases, Span{
-		TraceID:   f.tr.ID,
-		SpanID:    fmt.Sprintf("%s:%s-%d", f.tr.ID, p, i),
-		ParentID:  f.tr.ID + ":root",
-		Name:      p.String(),
-		Phase:     p,
-		PhaseName: p.String(),
-		User:      f.tr.User,
-		Start:     start,
-		End:       end,
-		Cycle:     cycle,
-		Slot:      slot,
-		Format:    format,
-		Detail:    detail,
+	f.arena = append(f.arena, f.arena[:f.idLen]...).str(":").str(p.String()).str("-").num(i)
+	f.phases = append(f.phases, pendingSpan{
+		Span: Span{
+			Name:      p.String(),
+			Phase:     p,
+			PhaseName: p.String(),
+			Start:     start,
+			End:       end,
+			Cycle:     cycle,
+			Slot:      slot,
+			Format:    format,
+			Detail:    detail,
+		},
+		lo: lo,
+		hi: len(f.arena),
 	})
+	f.mark = len(f.arena)
 }
 
-// seal prepends the root span and installs the slice on the trace.
-func (f *finalizer) seal(name, detail string) {
-	root := Span{
-		TraceID: f.tr.ID,
-		SpanID:  f.tr.ID + ":root",
-		Name:    name,
-		User:    f.tr.User,
-		Start:   f.tr.Start,
-		End:     f.tr.End,
+// seal renders the root span, whose detail is the text rendered since
+// the last phase span, then detail, then extra (after "; " when the
+// detail so far is not empty). It converts the arena to the trace's
+// string and installs the span slice with the root first.
+func (f *finalizer) seal(detail, extra string) {
+	tr := f.tr
+	f.arena = f.arena.str(detail)
+	if extra != "" {
+		if len(f.arena) > f.mark {
+			f.arena = f.arena.str("; ")
+		}
+		f.arena = f.arena.str(extra)
+	}
+	name := len(f.arena)
+	if tr.Kind == KindGPS {
+		f.arena = f.arena.str("gps ").num(tr.MsgID)
+	} else if f.arena = f.arena.str("msg ").num(tr.MsgID); tr.Bytes > 0 {
+		f.arena = f.arena.str(" (").num(tr.Bytes).str("B)")
+	}
+
+	s := string(f.arena)
+	tr.ID = s[:f.idLen]
+	root := s[:f.idLen+len(":root")]
+	spans := make([]Span, 1+len(f.phases))
+	spans[0] = Span{
+		TraceID: tr.ID,
+		SpanID:  root,
+		Name:    s[name:],
+		User:    tr.User,
+		Start:   tr.Start,
+		End:     tr.End,
 		Cycle:   -1,
 		Slot:    -1,
-		Retx:    f.tr.Retx,
-		Detail:  detail,
+		Retx:    tr.Retx,
+		Detail:  s[f.mark:name],
 	}
-	f.tr.Spans = append([]Span{root}, f.phases...)
+	prev := len(root)
+	for i := range f.phases {
+		p := &f.phases[i]
+		sp := &spans[i+1]
+		*sp = p.Span
+		sp.TraceID, sp.SpanID, sp.ParentID, sp.User = tr.ID, s[p.lo:p.hi], root, tr.User
+		if p.lo > prev {
+			sp.Detail = s[prev:p.lo]
+		}
+		prev = p.hi
+	}
+	tr.Spans = spans
 }
+
+// arena is a trace's text under construction; str and num append.
+type arena []byte
+
+func (a arena) str(s string) arena { return append(a, s...) }
+func (a arena) num(v int) arena    { return strconv.AppendInt(a, int64(v), 10) }
 
 func formatName(f core.ReverseFormat) string {
 	if f == core.Format1 || f == core.Format2 {
@@ -699,17 +762,69 @@ func formatName(f core.ReverseFormat) string {
 	return ""
 }
 
-// detailInt scans a "key=<int>" token out of an event detail string.
+// detailInt scans a "key=<int>" token out of an event detail string;
+// tokens are separated by Unicode white space. It and fragDetail accept
+// exactly what the equivalent fmt.Sscanf calls accept, which
+// FuzzStitchDetail checks.
 func detailInt(detail, key string) (int, bool) {
-	prefix := key + "="
-	for _, tok := range strings.Fields(detail) {
-		if !strings.HasPrefix(tok, prefix) {
-			continue
+	for detail != "" {
+		tok := detail
+		if i := strings.IndexFunc(detail, unicode.IsSpace); i >= 0 {
+			tok, detail = detail[:i], strings.TrimLeftFunc(detail[i:], unicode.IsSpace)
+		} else {
+			detail = ""
 		}
-		var v int
-		if _, err := fmt.Sscanf(tok[len(prefix):], "%d", &v); err == nil {
-			return v, true
+		if len(tok) > len(key) && tok[len(key)] == '=' && strings.HasPrefix(tok, key) {
+			if v, _, ok := scanInt(tok[len(key)+1:], true); ok {
+				return v, true
+			}
 		}
 	}
 	return 0, false
 }
+
+// fragDetail parses a data-rx detail, "msg=<id> frag=<i>/<n>". Like
+// fmt.Sscanf it allows blanks before each number and more than one
+// between the fields, and ignores trailing text.
+func fragDetail(detail string) (msg, frag, total int, ok bool) {
+	s, ok := strings.CutPrefix(detail, "msg=")
+	msg, s, ok = scanInt(s, ok)
+	fields := strings.TrimLeftFunc(s, isBlank)
+	ok = ok && len(fields) < len(s) // at least one blank between the fields
+	s, cut := strings.CutPrefix(fields, "frag=")
+	frag, s, ok = scanInt(s, ok && cut)
+	s, cut = strings.CutPrefix(s, "/")
+	total, _, ok = scanInt(s, ok && cut)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	return msg, frag, total, true
+}
+
+// scanInt reads an integer the way fmt's %d verb does: blanks skipped,
+// an optional sign, then ASCII digits that must fit an int. It returns
+// the value, what follows the digits and whether it succeeded; it fails
+// at once when ok is false, so parses chain.
+func scanInt(s string, ok bool) (int, string, bool) {
+	if !ok {
+		return 0, s, false
+	}
+	s = strings.TrimLeftFunc(s, isBlank)
+	i := 0
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		i++
+	}
+	j := i
+	for j < len(s) && '0' <= s[j] && s[j] <= '9' {
+		j++
+	}
+	if j == i {
+		return 0, s, false
+	}
+	v, err := strconv.Atoi(s[:j])
+	return v, s[j:], err == nil
+}
+
+// isBlank is fmt's scanning white space without newline, which
+// fmt.Sscanf refuses to skip.
+func isBlank(r rune) bool { return r != '\n' && unicode.IsSpace(r) }
