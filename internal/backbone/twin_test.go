@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -400,4 +401,109 @@ func TestShardedMultiRunSegments(t *testing.T) {
 		return out
 	}
 	compareOutcomes(t, "segmented", run(false), run(true))
+}
+
+// TestOneCellMatchesStandalone: a one-cell deployment is a standalone
+// cell. core.NewNetwork and a one-cell Internet built from the same
+// config and population must produce the same metrics snapshot, trace
+// stream, per-cycle series and kernel event count over a split run,
+// whatever the wire delay.
+func TestOneCellMatchesStandalone(t *testing.T) {
+	const gps, data = 5, 8
+	type outcome struct {
+		snap   string
+		series []core.CyclePoint
+		traces []core.TraceEvent
+		events uint64
+	}
+	populate := func(add func(ein frame.EIN, isGPS bool, joinAt time.Duration) error) {
+		t.Helper()
+		for i := 0; i < gps; i++ {
+			if err := add(frame.EIN(1000+i), true, time.Duration(i)*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < data; i++ {
+			if err := add(frame.EIN(2000+i), false, time.Duration(i)*500*time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	collect := func(n *core.Network, buf *core.TraceBuffer) outcome {
+		t.Helper()
+		snap, err := json.Marshal(n.Metrics().Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{snap: string(snap), series: n.Metrics().Series, traces: buf.Events(), events: n.Sim().EventsFired()}
+	}
+	for _, seed := range []uint64{1, 42, 8188083318138684029} {
+		cfg := core.NewConfig()
+		cfg.Seed = seed
+		cfg.CollectSeries = true
+		cfg.MeanInterarrival = traffic.InterarrivalForSlots(
+			0.9, data, cfg.SizeDist, frame.MaxPayload, phy.CycleLength, phy.Format1DataSlots)
+
+		alone := cfg
+		aloneBuf := &core.TraceBuffer{Cap: 1 << 20}
+		alone.Tracer = aloneBuf
+		n, err := core.NewNetwork(alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate(func(ein frame.EIN, isGPS bool, joinAt time.Duration) error {
+			_, err := n.AddSubscriber(ein, isGPS, joinAt)
+			return err
+		})
+		for _, cycles := range []int{10, 60} {
+			if err := n.Run(cycles); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := collect(n, aloneBuf)
+		if len(want.traces) == 0 || len(want.series) == 0 {
+			t.Fatal("empty trace stream or series; the comparison proved nothing")
+		}
+
+		for _, wire := range []time.Duration{25 * time.Millisecond, phy.CycleLength} {
+			for _, sharded := range []bool{false, true} {
+				label := fmt.Sprintf("seed=%d wire=%v sharded=%v", seed, wire, sharded)
+				deployed := cfg
+				buf := &core.TraceBuffer{Cap: 1 << 20}
+				deployed.Tracer = buf
+				in, err := NewWithOptions(deployed, Options{Cells: 1, WireDelay: wire, Sharded: sharded})
+				if err != nil {
+					t.Fatal(err)
+				}
+				populate(func(ein frame.EIN, isGPS bool, joinAt time.Duration) error {
+					_, err := in.AddSubscriber(ein, 0, isGPS, joinAt)
+					return err
+				})
+				for _, cycles := range []int{10, 60} {
+					if err := in.Run(cycles); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := collect(in.Cell(0), buf)
+				if got.snap != want.snap {
+					t.Fatalf("%s: metrics snapshot differs:\ncell:       %s\nstandalone: %s", label, got.snap, want.snap)
+				}
+				if !reflect.DeepEqual(got.series, want.series) {
+					t.Fatalf("%s: per-cycle series differs", label)
+				}
+				if got.events != want.events {
+					t.Fatalf("%s: %d kernel events, standalone fired %d", label, got.events, want.events)
+				}
+				if len(got.traces) != len(want.traces) {
+					t.Fatalf("%s: %d trace events, standalone emitted %d", label, len(got.traces), len(want.traces))
+				}
+				for i := range got.traces {
+					if got.traces[i] != want.traces[i] {
+						t.Fatalf("%s: trace event %d differs:\ncell:       %+v\nstandalone: %+v",
+							label, i, got.traces[i], want.traces[i])
+					}
+				}
+			}
+		}
+	}
 }

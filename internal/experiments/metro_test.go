@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,27 +25,40 @@ func metroCI(sharded bool) MetroOptions {
 	}
 }
 
-// TestMetroShardedMatchesSerial: the metro runner's digest — FNV over
-// every per-cell metrics snapshot plus the backbone counters and
-// latency samples — must be engine-independent.
+// metroCIDigest is the metro digest of metroCI, pinned while the
+// shared-kernel (serial) and per-cell-kernel (sharded) engines both
+// still produced it.
+const metroCIDigest = 0x71b5e72232501530
+
+// TestMetroShardedMatchesSerial pins the metro runner's digest — FNV
+// over every per-cell metrics snapshot plus the backbone counters and
+// latency samples — at the value the serial engine produced, and
+// requires the same result at GOMAXPROCS 1 and 2.
 func TestMetroShardedMatchesSerial(t *testing.T) {
-	serial, err := Metro(metroCI(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Metro(metroCI(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Digest != sharded.Digest {
-		t.Fatalf("metro digests diverge: serial %x, sharded %x\nserial: %+v\nsharded: %+v",
-			serial.Digest, sharded.Digest, serial, sharded)
-	}
-	if serial.Forwarded == 0 || serial.Delivered == 0 {
-		t.Fatalf("ring traffic never crossed the backbone: %+v", serial)
-	}
-	if serial.Subscribers != 40*6 {
-		t.Fatalf("subscriber count %d, want %d", serial.Subscribers, 40*6)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, sharded := range []bool{false, true} {
+		var got []MetroResult
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			res, err := Metro(metroCI(sharded))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest != metroCIDigest {
+				t.Fatalf("sharded=%v GOMAXPROCS=%d: metro digest %#x, want %#x\n%+v",
+					sharded, procs, res.Digest, uint64(metroCIDigest), res)
+			}
+			got = append(got, *res)
+		}
+		if got[0] != got[1] {
+			t.Fatalf("sharded=%v: GOMAXPROCS 1 vs 2 results differ:\n%+v\n%+v", sharded, got[0], got[1])
+		}
+		if got[0].Forwarded == 0 || got[0].Delivered == 0 {
+			t.Fatalf("ring traffic never crossed the backbone: %+v", got[0])
+		}
+		if got[0].Subscribers != 40*6 {
+			t.Fatalf("subscriber count %d, want %d", got[0].Subscribers, 40*6)
+		}
 	}
 }
 
