@@ -21,9 +21,12 @@
 // the command exit nonzero.
 //
 // With -cells N (N > 1) it instead runs a multi-cell metro deployment
-// on a wired backbone and prints a deterministic digest report; adding
-// -sharded runs one kernel shard per cell with conservative-lookahead
-// barriers, byte-identical to the serial engine at any GOMAXPROCS.
+// on a wired backbone — one kernel per cell, synchronized at
+// conservative-lookahead barriers — and prints a deterministic digest
+// report, byte-identical at any GOMAXPROCS. The metro path reads only
+// -cells, -gps, -data, -load, -seed, -warmup, -cycles, -wire-delay and
+// -json; any other flag set explicitly is an error there, and so is
+// -wire-delay on a single cell.
 //
 // Examples:
 //
@@ -31,7 +34,7 @@
 //	osumacsim -cycles 5000 -http :8080 -hold 1m
 //	osumacsim -cycles 300 -spans -export run-a.json
 //	osumacsim -gps 7 -data 8 -load 1.0 -cycles 500 -conformance
-//	osumacsim -cells 100 -gps 1 -data 5 -warmup 2 -cycles 4 -sharded -json
+//	osumacsim -cells 100 -gps 1 -data 5 -warmup 2 -cycles 4 -json
 package main
 
 import (
@@ -42,6 +45,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	osumac "github.com/osu-netlab/osumac"
@@ -86,9 +90,7 @@ func run(args []string, out io.Writer) error {
 		legacy     = fs.Bool("legacy-grants", false, "restore the pre-deadline-aware fixed GPS grant ordering (ablation baseline)")
 
 		cells     = fs.Int("cells", 1, "OSU-MAC cells on a wired backbone; >1 selects the multi-cell metro path")
-		shardedOn = fs.Bool("sharded", false, "run each cell on its own kernel shard (conservative-lookahead barriers); results are byte-identical to the serial engine")
-		wireDelay = fs.Duration("wire-delay", phy.CycleLength, "one-way backbone latency between base stations (multi-cell only)")
-		lookahead = fs.Duration("lookahead", 0, "sharded barrier window, 0 = wire delay (multi-cell only)")
+		wireDelay = fs.Duration("wire-delay", phy.CycleLength, "one-way backbone latency between base stations, > 0 (multi-cell only)")
 
 		flightOn       = fs.Bool("flight-recorder", false, "keep an always-on ring of trace events and dump it on anomalies (deadline misses, conformance breaches, fallback storms)")
 		dumpDir        = fs.String("dump-dir", ".", "directory receiving flight-recorder JSONL dumps")
@@ -100,24 +102,29 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if *cells > 1 {
-		for name, on := range map[string]bool{
-			"-http": *httpAddr != "", "-spans": *spans, "-export": *exportPath != "",
-			"-conformance": *conf, "-flight-recorder": *flightOn,
-		} {
-			if on {
-				return fmt.Errorf("%s is single-cell only; drop it or use -cells 1", name)
-			}
+	if *cells < 1 {
+		return fmt.Errorf("-cells %d: need at least one cell", *cells)
+	}
+	// Every flag set must be one the selected path reads. Visit walks
+	// the set flags in name order, so the error is deterministic.
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if *cells > 1 && !metroFlags[f.Name] || *cells == 1 && f.Name == "wire-delay" {
+			unread = append(unread, "-"+f.Name)
 		}
+	})
+	if len(unread) > 0 && *cells > 1 {
+		return fmt.Errorf("%s: single-cell only; drop or use -cells 1", strings.Join(unread, " "))
+	}
+	if len(unread) > 0 {
+		return fmt.Errorf("-wire-delay: multi-cell only; drop it or use -cells > 1")
+	}
+	if *cells > 1 {
 		return runMetro(out, metroArgs{
 			cells: *cells, gps: *gps, data: *data, load: *load,
 			seed: *seed, warmup: *warmup, cycles: *cycles,
-			wireDelay: *wireDelay, lookahead: *lookahead,
-			sharded: *shardedOn, asJSON: *asJSON,
+			wireDelay: *wireDelay, asJSON: *asJSON,
 		})
-	}
-	if *shardedOn {
-		return fmt.Errorf("-sharded needs -cells > 1")
 	}
 
 	scn := osumac.Scenario{
@@ -272,21 +279,26 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// metroFlags are the flags the multi-cell path reads.
+var metroFlags = map[string]bool{
+	"cells": true, "gps": true, "data": true, "load": true, "seed": true,
+	"warmup": true, "cycles": true, "wire-delay": true, "json": true,
+}
+
 // metroArgs carries the multi-cell flags into the metro path.
 type metroArgs struct {
-	cells, gps, data     int
-	load                 float64
-	seed                 uint64
-	warmup, cycles       int
-	wireDelay, lookahead time.Duration
-	sharded              bool
-	asJSON               bool
+	cells, gps, data int
+	load             float64
+	seed             uint64
+	warmup, cycles   int
+	wireDelay        time.Duration
+	asJSON           bool
 }
 
 // runMetro drives a multi-cell deployment through the metro runner and
 // prints a deterministic report: same seed and population → identical
-// bytes, on either engine at any GOMAXPROCS. CI diffs the serial and
-// sharded outputs directly.
+// bytes at any GOMAXPROCS. CI diffs the outputs of one and two procs
+// directly.
 func runMetro(out io.Writer, a metroArgs) error {
 	routed := 2
 	if a.data < routed {
@@ -302,8 +314,6 @@ func runMetro(out io.Writer, a metroArgs) error {
 		Warmup:        a.warmup,
 		Cycles:        a.cycles,
 		WireDelay:     a.wireDelay,
-		Sharded:       a.sharded,
-		Lookahead:     a.lookahead,
 	})
 	if err != nil {
 		return err
@@ -316,13 +326,8 @@ func runMetro(out io.Writer, a metroArgs) error {
 		fmt.Fprintln(out, string(b))
 		return nil
 	}
-	engine := "serial (single kernel)"
-	if a.sharded {
-		engine = "sharded (one kernel per cell)"
-	}
 	fmt.Fprintf(out, "metro: %d cells × (%d GPS + %d data) = %d subscribers, load %.2f, %d+%d cycles\n",
 		res.Cells, a.gps, a.data, res.Subscribers, a.load, a.warmup, a.cycles)
-	fmt.Fprintf(out, "engine: %s\n", engine)
 	fmt.Fprintln(out, "backbone")
 	fmt.Fprintf(out, "  ring sends accepted     %d\n", res.RingSends)
 	fmt.Fprintf(out, "  forwarded / delivered   %d / %d\n", res.Forwarded, res.Delivered)

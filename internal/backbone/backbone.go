@@ -9,24 +9,20 @@
 // propagation+queueing delay, where it is fragmented again for downlink
 // transmission.
 //
-// # Execution engines
+// # Execution
 //
-// Two engines drive a multi-cell deployment, selected by
-// Options.Sharded:
+// Every cell runs on its own sim.Simulator kernel. A coordinator
+// advances all kernels in conservative-lookahead windows derived from
+// WireDelay, on a pool of GOMAXPROCS worker goroutines (see shard.go).
+// Cross-cell sends are exchanged at the barriers between windows and
+// merged in the fixed total order (delivery time, source cell,
+// per-source sequence) (see exchange.go).
 //
-//   - Serial (the differential oracle): every cell shares one
-//     sim.Simulator, exactly the single-kernel design the rest of the
-//     repo's determinism discipline is proven against.
-//   - Sharded: every cell runs its own kernel on a dedicated goroutine,
-//     synchronized by conservative-lookahead barriers derived from
-//     WireDelay (see shard.go). Cross-cell sends are exchanged at
-//     barriers and merged in the fixed total order
-//     (delivery time, source cell, per-source sequence).
-//
-// Same-seed runs of the two engines are byte-identical — identical
-// per-cell metrics, identical merged trace streams, identical backbone
-// counters and latency samples — at any GOMAXPROCS. The twin test
-// battery in twin_test.go and FuzzShardExchange enforce this.
+// Same-seed runs are byte-identical — identical per-cell metrics,
+// merged trace streams, backbone counters and latency samples — at any
+// GOMAXPROCS. The twin test battery in twin_test.go and
+// FuzzShardExchange enforce this against a test-only oracle that runs
+// every cell on one shared kernel (oracle_test.go).
 package backbone
 
 import (
@@ -55,64 +51,47 @@ type Options struct {
 	// Config.Seed+i so cells are statistically independent.
 	Cells int
 	// WireDelay is the one-way backbone latency between any two base
-	// stations (point-to-point mesh). In sharded mode it must be
-	// positive: it is the conservative-lookahead bound that guarantees
-	// a cross-cell send generated inside a window delivers at or after
-	// the window's end barrier.
+	// stations (point-to-point mesh). It must be positive: it is the
+	// conservative-lookahead bound that guarantees a cross-cell send
+	// generated inside a window delivers at or after the window's end
+	// barrier.
 	WireDelay time.Duration
-	// Sharded selects the per-cell-kernel engine. The default (false)
-	// keeps every cell on one shared kernel — the differential oracle.
+	// Deprecated: Sharded has no effect; every deployment runs one kernel per cell.
 	Sharded bool
-	// Lookahead is the barrier window length for the sharded engine.
-	// Zero means WireDelay (the maximum safe window); any explicit
-	// value must lie in (0, WireDelay]. Smaller windows trade barrier
-	// overhead for lower peak skew between shards; every legal value
-	// produces byte-identical results.
+	// Lookahead is the barrier window length. Zero means WireDelay
+	// (the maximum safe window); any explicit value must lie in
+	// (0, WireDelay]. Smaller windows trade barrier overhead for lower
+	// peak skew between cells; every legal value produces
+	// byte-identical results.
 	Lookahead time.Duration
 	// CellTracer, when set, builds a per-cell tracer chain: cell i's
 	// events are delivered inline (in cell-local order) to
-	// CellTracer(i). This is the seam for per-shard conformance
-	// checkers — each cell gets its own checker, valid in both engines.
-	// A nil return detaches cell i.
+	// CellTracer(i). This is the seam for per-cell conformance
+	// checkers — each cell gets its own checker. A nil return detaches
+	// cell i.
 	CellTracer func(cell int) core.Tracer
 }
 
 // Internet is a set of OSU-MAC cells joined by a wired backbone.
 type Internet struct {
-	kernel *sim.Simulator // serial engine's shared kernel; nil when sharded
-	shards []*shard       // sharded engine's per-cell shards; nil when serial
-	cells  []*core.Network
-	taps   []*cellTap // per-cell trace taps (entries may be nil)
+	shards []*shard // one per cell, in cell order
+	taps   []*cellTap
 	sink   core.Tracer
 
 	// WireDelay is the one-way backbone latency between any two base
 	// stations (point-to-point mesh).
 	WireDelay time.Duration
 	lookahead time.Duration
-	sharded   bool
-	committed time.Duration // barrier-committed virtual time (sharded)
+	committed time.Duration // virtual time of the last barrier
 
 	// routing: EIN → cell index.
 	home map[Address]int
 	subs map[Address]*core.Subscriber
 
-	// Pending inter-cell sends awaiting uplink completion, partitioned
-	// by source cell so shard goroutines never share a map.
-	pending []map[pendingKey]pendingSend
-	// xseq hands out per-source-cell exchange sequence numbers — the
-	// third component of the deterministic merge order. Partitioned per
-	// cell for the same reason as pending.
-	xseq []uint64
-
-	// Serial-engine exchange state: deliveries bucketed by their
-	// delivery instant, drained in (source cell, sequence) order by one
-	// PriorityBackbone event per instant.
-	buckets map[time.Duration][]xsend
-
-	// Sharded-engine latency queue: forwarded sends whose end-to-end
-	// latency sample is applied once the barrier commits their delivery
-	// time, keeping stats.Sample's order-sensitive float accumulation
-	// identical to the serial engine's.
+	// latQ holds exchanged sends whose end-to-end latency sample is
+	// applied once a barrier commits their delivery time, in the
+	// canonical (deliverAt, src, seq) order: stats.Sample's float
+	// accumulation is order-sensitive.
 	latQ []xsend
 
 	// Metrics.
@@ -131,49 +110,45 @@ type pendingSend struct {
 	createdAt time.Duration
 }
 
-// New builds an Internet of `cells` OSU-MAC cells on one shared kernel
-// (the serial engine). Cell i uses cfg with Seed+i so cells are
-// statistically independent.
+// New builds an Internet of `cells` OSU-MAC cells. Cell i uses cfg with
+// Seed+i so cells are statistically independent.
 func New(cfg core.Config, cells int, wireDelay time.Duration) (*Internet, error) {
 	return NewWithOptions(cfg, Options{Cells: cells, WireDelay: wireDelay})
 }
 
-// NewWithOptions builds an Internet with full engine control. The
-// shared tracer cfg.Tracer, when set, receives the merged multi-cell
-// event stream in (time, cell, per-cell sequence) order, flushed at
-// deterministic points (every barrier in sharded mode, end of Run in
-// serial mode); the cumulative stream is byte-identical across engines.
-// Per-cell consumers (conformance checkers) should use
-// Options.CellTracer instead, which delivers events inline.
+// NewWithOptions builds an Internet with full control over the barrier
+// window and per-cell tracing. The shared tracer cfg.Tracer, when set,
+// receives the merged multi-cell event stream in (time, cell, per-cell
+// sequence) order, flushed at every barrier. Per-cell consumers
+// (conformance checkers) should use Options.CellTracer instead, which
+// delivers events inline.
 func NewWithOptions(cfg core.Config, o Options) (*Internet, error) {
+	return build(cfg, o, sim.New)
+}
+
+// build constructs a deployment whose cells run on kernels returned by
+// newKernel, one call per cell. NewWithOptions passes sim.New; the
+// test-only shared-kernel oracle passes one kernel for every cell.
+func build(cfg core.Config, o Options, newKernel func() *sim.Simulator) (*Internet, error) {
 	if o.Cells <= 0 {
 		return nil, fmt.Errorf("backbone: need at least one cell")
 	}
-	if o.Sharded {
-		if o.WireDelay <= 0 {
-			return nil, fmt.Errorf("backbone: sharded mode needs a positive WireDelay (it is the conservative-lookahead bound)")
-		}
-		if o.Lookahead == 0 {
-			o.Lookahead = o.WireDelay
-		}
-		if o.Lookahead < 0 || o.Lookahead > o.WireDelay {
-			return nil, fmt.Errorf("backbone: lookahead %v outside (0, WireDelay=%v]", o.Lookahead, o.WireDelay)
-		}
+	if o.WireDelay <= 0 {
+		return nil, fmt.Errorf("backbone: WireDelay must be positive (it is the conservative-lookahead bound)")
+	}
+	if o.Lookahead == 0 {
+		o.Lookahead = o.WireDelay
+	}
+	if o.Lookahead < 0 || o.Lookahead > o.WireDelay {
+		return nil, fmt.Errorf("backbone: lookahead %v outside (0, WireDelay=%v]", o.Lookahead, o.WireDelay)
 	}
 	in := &Internet{
 		WireDelay: o.WireDelay,
 		lookahead: o.Lookahead,
-		sharded:   o.Sharded,
 		sink:      cfg.Tracer,
 		home:      make(map[Address]int),
 		subs:      make(map[Address]*core.Subscriber),
-		pending:   make([]map[pendingKey]pendingSend, o.Cells),
-		xseq:      make([]uint64, o.Cells),
 		taps:      make([]*cellTap, o.Cells),
-	}
-	if !o.Sharded {
-		in.kernel = sim.New()
-		in.buckets = make(map[time.Duration][]xsend)
 	}
 	for i := 0; i < o.Cells; i++ {
 		c := cfg
@@ -188,62 +163,38 @@ func NewWithOptions(cfg core.Config, o Options) (*Internet, error) {
 			in.taps[i] = tap
 			c.Tracer = tap
 		}
-		kernel := in.kernel
-		if o.Sharded {
-			kernel = sim.New()
-		}
-		n, err := core.NewNetworkOnSim(c, kernel)
+		s := &shard{idx: i, kernel: newKernel(), in: in, pending: make(map[pendingKey]pendingSend)}
+		n, err := core.NewNetworkOnSim(c, s.kernel)
 		if err != nil {
 			return nil, err
 		}
-		idx := i
-		n.OnUplinkComplete = func(user frame.UserID, msgID uint16, bytes int) {
-			in.onUplink(idx, user, msgID, bytes)
-		}
-		in.pending[i] = make(map[pendingKey]pendingSend)
-		in.cells = append(in.cells, n)
-		if o.Sharded {
-			in.shards = append(in.shards, &shard{idx: i, kernel: kernel, cell: n, in: in})
-		}
+		n.OnUplinkComplete = s.onUplink
+		s.cell = n
+		in.shards = append(in.shards, s)
 	}
 	return in, nil
 }
 
 // Cell returns cell i's network.
-func (in *Internet) Cell(i int) *core.Network { return in.cells[i] }
+func (in *Internet) Cell(i int) *core.Network { return in.shards[i].cell }
 
 // Cells returns the number of cells.
-func (in *Internet) Cells() int { return len(in.cells) }
+func (in *Internet) Cells() int { return len(in.shards) }
 
-// Sharded reports whether the deployment runs on the per-cell-kernel
-// engine.
-func (in *Internet) Sharded() bool { return in.sharded }
-
-// Kernel returns the shared simulation kernel of the serial engine, or
-// nil in sharded mode (each cell owns a kernel there; see
-// Cell(i).Sim()).
-func (in *Internet) Kernel() *sim.Simulator { return in.kernel }
-
-// Now returns the deployment's committed virtual time: the shared
-// kernel clock in serial mode, the last barrier time in sharded mode.
-// Between Run calls every cell's clock equals this value.
-func (in *Internet) Now() time.Duration {
-	if in.sharded {
-		return in.committed
-	}
-	return in.kernel.Now()
-}
+// Now returns the deployment's committed virtual time, the last
+// barrier. Between Run calls every cell's clock equals this value.
+func (in *Internet) Now() time.Duration { return in.committed }
 
 // AddSubscriber places a subscriber in cell `cell`; the EIN is the
 // global address.
 func (in *Internet) AddSubscriber(ein Address, cell int, isGPS bool, joinAt time.Duration) (*core.Subscriber, error) {
-	if cell < 0 || cell >= len(in.cells) {
+	if cell < 0 || cell >= len(in.shards) {
 		return nil, fmt.Errorf("backbone: cell %d out of range", cell)
 	}
 	if _, dup := in.home[ein]; dup {
 		return nil, fmt.Errorf("backbone: duplicate EIN %d", ein)
 	}
-	sub, err := in.cells[cell].AddSubscriber(ein, isGPS, joinAt)
+	sub, err := in.shards[cell].cell.AddSubscriber(ein, isGPS, joinAt)
 	if err != nil {
 		return nil, err
 	}
@@ -281,100 +232,13 @@ func (in *Internet) Send(src, dst Address, size int) error {
 	if !sub.AddMessage(size, now) {
 		return fmt.Errorf("backbone: source %d queue full", src)
 	}
-	in.cells[srcCell].TrackMessage(sub.ID(), msgID, size, now)
-	in.pending[srcCell][pendingKey{user: sub.ID(), msgID: msgID}] = pendingSend{
+	s := in.shards[srcCell]
+	s.cell.TrackMessage(sub.ID(), msgID, size, now)
+	s.pending[pendingKey{user: sub.ID(), msgID: msgID}] = pendingSend{
 		dst:       dst,
 		createdAt: now,
 	}
 	return nil
-}
-
-// onUplink routes a completed uplink message across the wire. It runs
-// inside the source cell's kernel (the shared kernel in serial mode, the
-// cell's shard goroutine in sharded mode).
-func (in *Internet) onUplink(cell int, user frame.UserID, msgID uint16, bytes int) {
-	key := pendingKey{user: user, msgID: msgID}
-	send, ok := in.pending[cell][key]
-	if !ok {
-		return // intra-cell traffic, not ours
-	}
-	delete(in.pending[cell], key)
-	now := in.cellNow(cell)
-	x := xsend{
-		deliverAt: now + in.WireDelay,
-		src:       cell,
-		dst:       in.home[send.dst],
-		seq:       in.xseq[cell],
-		dstAddr:   send.dst,
-		bytes:     bytes,
-		latency:   now - send.createdAt,
-	}
-	in.xseq[cell]++
-	if in.sharded {
-		s := in.shards[cell]
-		s.forwarded++
-		s.outbox = append(s.outbox, x)
-		return
-	}
-	in.Forwarded.Inc()
-	in.enqueueSerial(x)
-}
-
-// cellNow returns cell i's current kernel time.
-func (in *Internet) cellNow(cell int) time.Duration {
-	if in.sharded {
-		return in.shards[cell].kernel.Now()
-	}
-	return in.kernel.Now()
-}
-
-// Run advances every cell by the given number of notification cycles on
-// a shared virtual clock. On an internal cell failure the returned
-// error is a *CellError naming the cell and the virtual time it had
-// reached; the deployment is poisoned for further runs, but every
-// cell's partial metrics and traces remain readable.
-func (in *Internet) Run(cycles int) error {
-	if cycles <= 0 {
-		return fmt.Errorf("backbone: non-positive cycle count")
-	}
-	if in.sharded {
-		return in.runSharded(cycles)
-	}
-	return in.runSerial(cycles)
-}
-
-// runSerial drives all cells on the shared kernel — the differential
-// oracle the sharded engine is verified against.
-func (in *Internet) runSerial(cycles int) error {
-	start := in.kernel.Now()
-	for _, cell := range in.cells {
-		if err := cell.ScheduleCycles(cycles, start); err != nil {
-			return err
-		}
-	}
-	kerr := in.kernel.Run(horizonFor(start, cycles))
-	if kerr != nil {
-		err := in.serialFailure(kerr)
-		in.flushTraces()
-		return err
-	}
-	for _, cell := range in.cells {
-		cell.FlushSeries()
-	}
-	in.flushTraces()
-	return nil
-}
-
-// serialFailure wraps a mid-flight kernel stop in a *CellError naming
-// the failed cell. At most one cell can fail on the shared kernel: the
-// failing event stops the loop before any other cell runs.
-func (in *Internet) serialFailure(kerr error) error {
-	for i, cell := range in.cells {
-		if err := cell.Err(); err != nil {
-			return &CellError{Cell: i, At: in.kernel.Now(), Err: err}
-		}
-	}
-	return kerr
 }
 
 // horizonFor computes the run horizon: the cycles' span plus the

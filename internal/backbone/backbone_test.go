@@ -1,10 +1,12 @@
 package backbone
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/core"
+	"github.com/osu-netlab/osumac/internal/phy"
 )
 
 func newInternet(t *testing.T, cells int) *Internet {
@@ -20,8 +22,11 @@ func newInternet(t *testing.T, cells int) *Internet {
 
 func TestNewValidation(t *testing.T) {
 	cfg := core.NewConfig()
-	if _, err := New(cfg, 0, 0); err == nil {
+	if _, err := New(cfg, 0, time.Millisecond); err == nil {
 		t.Fatal("zero cells accepted")
+	}
+	if _, err := New(cfg, 2, 0); err == nil {
+		t.Fatal("zero wire delay accepted")
 	}
 }
 
@@ -128,8 +133,10 @@ func TestCellsShareOneClock(t *testing.T) {
 			t.Fatalf("cell %d ran %d cycles", i, got)
 		}
 	}
-	if in.Kernel().Now() <= 0 {
-		t.Fatal("kernel did not advance")
+	for i := 0; i < in.Cells(); i++ {
+		if got := in.Cell(i).Sim().Now(); got != in.Now() || got <= 0 {
+			t.Fatalf("cell %d clock %v, deployment clock %v", i, got, in.Now())
+		}
 	}
 }
 
@@ -170,5 +177,42 @@ func TestRunValidation(t *testing.T) {
 	in := newInternet(t, 1)
 	if err := in.Run(0); err == nil {
 		t.Fatal("zero cycles accepted")
+	}
+}
+
+// goroutineProbe is a cell tracer that records the most goroutines
+// alive while its cell ran.
+type goroutineProbe struct{ peak int }
+
+func (p *goroutineProbe) Trace(core.TraceEvent) {
+	p.peak = max(p.peak, runtime.NumGoroutine())
+}
+
+// TestWorkerPoolBoundsGoroutines: a run holds the test's two goroutines
+// plus at most one per GOMAXPROCS worker, never one per cell.
+func TestWorkerPoolBoundsGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const cells = 256
+	probes := make([]goroutineProbe, cells)
+	in, err := NewWithOptions(core.NewConfig(), Options{
+		Cells:      cells,
+		WireDelay:  phy.CycleLength,
+		CellTracer: func(cell int) core.Tracer { return &probes[cell] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for i := range probes {
+		if probes[i].peak == 0 {
+			t.Fatalf("cell %d traced nothing; the probe proved nothing", i)
+		}
+		peak = max(peak, probes[i].peak)
+	}
+	if limit := runtime.GOMAXPROCS(0) + 2; peak > limit {
+		t.Fatalf("%d-cell run held %d goroutines, want at most GOMAXPROCS+2 = %d", cells, peak, limit)
 	}
 }

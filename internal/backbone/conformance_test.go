@@ -1,11 +1,11 @@
 package backbone
 
-// Conformance under sharding: every protocol invariant the serial
-// checker enforces must hold unchanged when a cell runs on its own
-// kernel shard. Each cell gets a private conformance.Checker through
-// Options.CellTracer, which delivers events inline in exact cell-local
-// order in both engines — the checkers cannot tell which engine ran
-// them, and neither may their verdicts.
+// Conformance under sharding: every protocol invariant the single-cell
+// checker enforces must hold unchanged when a cell runs as one kernel
+// shard of a deployment. Each cell gets a private conformance.Checker
+// through Options.CellTracer, which delivers events inline in exact
+// cell-local order — the checkers cannot tell a shard from a
+// standalone cell, and neither may their verdicts.
 
 import (
 	"fmt"
@@ -65,15 +65,14 @@ func populateBuildStyle(t *testing.T, in *Internet, cell, gpsUsers, dataUsers in
 	}
 }
 
-// runShardedChecked builds a sharded deployment with a conformance
-// checker per cell, runs it, and returns the finished reports.
+// runShardedChecked builds a deployment with a conformance checker per
+// cell, runs it, and returns the finished reports.
 func runShardedChecked(t *testing.T, cfg core.Config, cells, gpsUsers, dataUsers, cycles int, opts conformance.Options) []*conformance.Report {
 	t.Helper()
 	checkers := make([]*conformance.Checker, cells)
 	in, err := NewWithOptions(cfg, Options{
 		Cells:     cells,
 		WireDelay: phy.CycleLength,
-		Sharded:   true,
 		CellTracer: func(cell int) core.Tracer {
 			checkers[cell] = conformance.New(opts)
 			return checkers[cell]
@@ -96,7 +95,7 @@ func runShardedChecked(t *testing.T, cfg core.Config, cells, gpsUsers, dataUsers
 }
 
 // TestShardedConformanceSweep runs a representative slice of the repo's
-// conformance sweep grid on the sharded engine and requires every
+// conformance sweep grid on the multi-cell engine and requires every
 // per-shard checker to pass — the protocol invariants (schedule
 // disjointness, format rule, CF2 exclusions, deadline) are engine
 // properties, not kernel-layout properties.
@@ -190,7 +189,6 @@ func TestPinnedGPSRegressionShardedLegacy(t *testing.T) {
 	in, err := NewWithOptions(cfg, Options{
 		Cells:     2,
 		WireDelay: phy.CycleLength,
-		Sharded:   true,
 		CellTracer: func(cell int) core.Tracer {
 			checkers[cell] = conformance.New(conformance.Options{
 				DynamicSlots:       true,

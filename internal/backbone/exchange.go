@@ -1,28 +1,20 @@
-// Cross-cell send exchange: the deterministic merge that makes the
-// sharded engine byte-identical to the serial oracle.
+// Cross-cell send exchange: the deterministic merge that makes a
+// multi-cell run independent of how its shards are scheduled.
 //
 // Every forwarded uplink becomes one xsend record keyed by
 // (deliverAt, src, seq): the wire-delayed delivery instant, the source
 // cell, and a per-source-cell sequence number assigned in uplink
-// completion order. Both engines realize exactly this total order:
-//
-//   - The serial engine buckets xsends by delivery instant and drains
-//     each bucket with a single PriorityBackbone event, executing the
-//     bucket's deliveries in (src, seq) order. PriorityBackbone sorts
-//     after every local event at the same instant, so a delivery's
-//     position never depends on the kernel-sequence interleaving of
-//     unrelated cells — the one part of the shared-kernel order a
-//     sharded run could not reproduce.
-//   - The sharded engine gathers every shard's outbox at each barrier,
-//     sorts the batch by (deliverAt, src, seq), and inserts one
-//     PriorityBackbone event per xsend into the destination shard in
-//     that order; the kernel's (time, priority, insertion) order then
-//     executes them identically.
+// completion order. At each barrier the coordinator gathers every
+// shard's outbox, sorts the batch by that key, and inserts one
+// sim.PriorityBackbone event per xsend into the destination shard in
+// that order; the kernel's (time, priority, insertion) order then
+// executes them in the merge order. PriorityBackbone sorts after every
+// local event at the same instant, so a delivery's position never
+// depends on anything but its key.
 //
 // End-to-end latency samples are order-sensitive (stats.Sample sums
-// floats), so both engines record them in the same (deliverAt, src,
-// seq) order: the serial engine at drain time, the sharded engine at
-// the barrier that commits the delivery time.
+// floats), so they are recorded in the same (deliverAt, src, seq)
+// order, at the barrier that commits the delivery time.
 package backbone
 
 import (
@@ -57,50 +49,19 @@ func sortXsends(batch []xsend) {
 	})
 }
 
-// enqueueSerial books an xsend for delivery on the shared kernel. The
-// first xsend of a delivery instant schedules that instant's drain
-// event; later arrivals (same instant, any source cell) join the
-// bucket before it fires, because deliverAt is always a full WireDelay
-// in the future.
-func (in *Internet) enqueueSerial(x xsend) {
-	b, scheduled := in.buckets[x.deliverAt]
-	in.buckets[x.deliverAt] = append(b, x)
-	if scheduled {
-		return
-	}
-	at := x.deliverAt
-	if _, err := in.kernel.At(at, sim.PriorityBackbone, func() { in.drainSerial(at) }); err != nil {
-		//lint:ignore panicfree provably unreachable: deliverAt = now+WireDelay >= now
-		panic(err)
-	}
-}
-
-// drainSerial delivers every xsend due at `at`, in (src, seq) order.
-func (in *Internet) drainSerial(at time.Duration) {
-	batch := in.buckets[at]
-	delete(in.buckets, at)
-	sortXsends(batch)
-	for i := range batch {
-		in.EndToEndLat.AddDuration(batch[i].latency)
-		if in.deliver(&batch[i]) {
-			in.Delivered.Inc()
-		}
-	}
-}
-
 // deliver hands one wire arrival to the destination base station. It
-// reports whether the downlink leg was accepted. In sharded mode it
-// runs inside the destination shard's goroutine; it touches only the
-// destination cell and read-only routing maps.
+// reports whether the downlink leg was accepted. It runs inside the
+// destination shard's kernel; it touches only the destination cell and
+// read-only routing maps.
 func (in *Internet) deliver(x *xsend) bool {
 	dstSub := in.subs[x.dstAddr]
 	if dstSub.State() != core.StateActive {
 		return false // destination left the network; packet dropped
 	}
-	return in.cells[x.dst].SendToSubscriber(dstSub, x.bytes) == nil
+	return in.shards[x.dst].cell.SendToSubscriber(dstSub, x.bytes) == nil
 }
 
-// exchange runs at a sharded barrier: it gathers every shard's outbox,
+// exchange runs at a barrier: it gathers every shard's outbox,
 // sorts the batch into the canonical order, inserts delivery events
 // into the destination shards, and appends the batch to the latency
 // queue. All shards are parked at the barrier, so no kernel is
@@ -134,8 +95,7 @@ func (in *Internet) exchange() {
 
 // applyLatencies records the end-to-end latency of every exchanged
 // send whose delivery instant the barriers have committed, in the
-// canonical order — the same order the serial engine's drains record
-// them in.
+// canonical order.
 func (in *Internet) applyLatencies(committed time.Duration) {
 	i := 0
 	for i < len(in.latQ) && in.latQ[i].deliverAt <= committed {

@@ -4,20 +4,15 @@
 // Each cell's tracer hook points at a cellTap, which (a) forwards every
 // event inline to the cell's private chain (Options.CellTracer — the
 // conformance-checker seam, which sees events in exact cell-local
-// order in both engines) and (b) buffers events for the shared sink
-// (Config.Tracer). The coordinator flushes the buffers at
-// deterministic points — every barrier in sharded mode, the end of Run
-// in serial mode — sorting each flush batch by (At, cell, Seq).
+// order) and (b) buffers events for the shared sink (Config.Tracer).
+// The coordinator flushes the buffers at every barrier, sorting each
+// flush batch by (At, cell, Seq).
 //
-// The cumulative flushed stream is engine-independent: batches are
-// time-partitioned (a shard's clock never re-enters a flushed window,
-// and the sort key leads with At), per-cell Seq is the cell's own
-// monotone trace counter (independent of kernel scheduling), and the
-// cell index breaks cross-cell ties identically everywhere. The serial
-// engine deliberately routes its shared sink through the same tap +
-// sorted-merge path rather than delivering inline: a shared kernel
-// interleaves same-instant events of different cells by kernel
-// sequence, an order no sharded run could reproduce.
+// The cumulative flushed stream is independent of shard scheduling and
+// of the barrier window: batches are time-partitioned (a shard's clock
+// never re-enters a flushed window, and the sort key leads with At),
+// per-cell Seq is the cell's own monotone trace counter, and the cell
+// index breaks cross-cell ties identically everywhere.
 package backbone
 
 import (
@@ -54,9 +49,8 @@ type taggedEvent struct {
 }
 
 // flushTraces drains every tap buffer into the shared sink in
-// (At, cell, Seq) order. Callers hold the coordinator role: either no
-// kernel is running (serial, between runs) or all shards are parked at
-// a barrier.
+// (At, cell, Seq) order. Callers hold the coordinator role: no kernel
+// is running, because all shards are parked at a barrier.
 func (in *Internet) flushTraces() {
 	if in.sink == nil {
 		return

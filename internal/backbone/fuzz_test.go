@@ -20,19 +20,19 @@ const (
 // and every fourth byte also advances the clock by a Run segment, so
 // the fuzzer controls both the merge pressure (many sends at one
 // instant) and the phase structure (sends straddling Run boundaries).
-func fuzzOutcome(t *testing.T, schedule []byte, sharded bool) twinOutcome {
+func fuzzOutcome(t *testing.T, schedule []byte, onOracle bool) twinOutcome {
 	t.Helper()
 	buf := &core.TraceBuffer{Cap: 1 << 20}
 	s := twinScenario{cells: fuzzCells, gps: 0, data: fuzzSubs, load: 0.5,
 		seed: 1331, wire: 45 * time.Millisecond}
-	in := buildTwin(t, s, sharded, buf, nil)
+	in, run := buildTwin(t, s, onOracle, buf, nil)
 	var out twinOutcome
 	record := func(err error) {
 		if err != nil && out.runErr == "" {
 			out.runErr = err.Error()
 		}
 	}
-	record(in.Run(2)) // settle: subscribers join, queues warm up
+	record(run(2)) // settle: subscribers join, queues warm up
 	for k, b := range schedule {
 		if out.runErr != "" {
 			break
@@ -44,11 +44,11 @@ func fuzzOutcome(t *testing.T, schedule []byte, sharded bool) twinOutcome {
 			out.sendErrs = append(out.sendErrs, err.Error())
 		}
 		if k%4 == 3 {
-			record(in.Run(1 + int(b)%3))
+			record(run(1 + int(b)%3))
 		}
 	}
 	if out.runErr == "" {
-		record(in.Run(3)) // drain: every wire delay elapses
+		record(run(3)) // drain: every wire delay elapses
 	}
 	for c := 0; c < fuzzCells; c++ {
 		snap, err := json.Marshal(in.Cell(c).Metrics().Snapshot())
@@ -67,8 +67,9 @@ func fuzzOutcome(t *testing.T, schedule []byte, sharded bool) twinOutcome {
 	return out
 }
 
-// FuzzShardExchange feeds randomized cross-cell send schedules to both
-// engines and requires byte-identical outcomes: metrics snapshots,
+// FuzzShardExchange feeds randomized cross-cell send schedules to the
+// production engine and the shared-kernel oracle and requires
+// byte-identical outcomes: metrics snapshots,
 // trace streams, exchange counters, latency sample order, and error
 // strings. Any scheduling-order leak in the barrier/merge machinery
 // shows up as a divergence here.
@@ -82,8 +83,8 @@ func FuzzShardExchange(f *testing.F) {
 		if len(schedule) > 24 {
 			schedule = schedule[:24] // bound per-exec simulated time
 		}
-		serial := fuzzOutcome(t, schedule, false)
-		sharded := fuzzOutcome(t, schedule, true)
-		compareOutcomes(t, "fuzz sharded vs serial", serial, sharded)
+		want := fuzzOutcome(t, schedule, true)
+		got := fuzzOutcome(t, schedule, false)
+		compareOutcomes(t, "fuzz oracle vs production", want, got)
 	})
 }

@@ -1,5 +1,5 @@
-// The sharded engine: one kernel shard per cell on a dedicated
-// goroutine, synchronized by conservative-lookahead barriers.
+// The multi-cell engine: one kernel shard per cell, advanced in
+// conservative-lookahead windows by a pool of worker goroutines.
 //
 // # Barrier protocol
 //
@@ -20,31 +20,40 @@
 // The final inclusive Run(H) step exists because RunBefore is
 // exclusive: events scheduled exactly at the horizon (a delivery whose
 // wire delay divides the run length, the last reverse-slot runway
-// instant) must still fire inside this Run call, exactly as the serial
-// engine's inclusive kernel.Run(H) fires them.
+// instant) must still fire inside this Run call, as a single cell's
+// inclusive kernel.Run(H) fires them.
+//
+// # Worker pool
+//
+// Each window runs on min(GOMAXPROCS, cells) workers: the coordinator
+// and one goroutine per further worker. Every worker claims the next
+// unclaimed shard index until none is left. The WaitGroup wait that
+// ends the window is the barrier; it orders every shard's writes
+// before the coordinator reads shard state.
 //
 // # Determinism
 //
 // Shards share no mutable state: each cell owns its RNG fork
-// (Seed+i), metrics, codec scratch, and trace tap, and the per-cell
-// pending/sequence tables are partitioned by cell. The only cross-cell
-// coupling is the exchanged sends, whose order is pinned by the
-// (deliverAt, src, seq) merge (see exchange.go) — independent of
-// goroutine scheduling, barrier arrival order, and GOMAXPROCS. Shard
-// goroutines communicate exclusively through one command channel per
-// shard and a WaitGroup barrier, both of which establish the
-// happens-before edges the coordinator needs to read shard state.
+// (Seed+i), metrics, codec scratch, trace tap, and pending/sequence
+// tables. The only cross-cell coupling is the exchanged sends, whose
+// order is pinned by the (deliverAt, src, seq) merge (see exchange.go)
+// — independent of which worker runs which shard, of goroutine
+// scheduling, and of GOMAXPROCS.
 package backbone
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/core"
+	"github.com/osu-netlab/osumac/internal/frame"
 	"github.com/osu-netlab/osumac/internal/sim"
 )
 
-// window is one barrier-delimited work order for a shard.
+// window is one barrier-delimited work order.
 type window struct {
 	limit     time.Duration
 	inclusive bool // final step: run events at the horizon itself
@@ -57,32 +66,49 @@ type shard struct {
 	cell   *core.Network
 	in     *Internet
 
-	cmd chan window
-	wg  *sync.WaitGroup
+	// pending holds inter-cell sends awaiting uplink completion; xseq
+	// hands out this cell's exchange sequence numbers, the third
+	// component of the merge order.
+	pending map[pendingKey]pendingSend
+	xseq    uint64
 
 	// outbox collects the window's cross-cell sends; the coordinator
 	// drains it at the barrier.
 	outbox []xsend
 	// forwarded/delivered are running totals folded into the Internet
-	// counters at barriers.
+	// counters at the end of Run.
 	forwarded uint64
 	delivered uint64
 
 	err *CellError
 }
 
-// loop processes barrier windows until the coordinator closes cmd.
-// Deterministic dispatch: a single-receiver channel range, no select.
-func (s *shard) loop() {
-	for w := range s.cmd {
-		s.runWindow(w)
-		s.wg.Done()
+// onUplink routes a completed uplink message across the wire. It runs
+// inside the source cell's kernel.
+func (s *shard) onUplink(user frame.UserID, msgID uint16, bytes int) {
+	key := pendingKey{user: user, msgID: msgID}
+	send, ok := s.pending[key]
+	if !ok {
+		return // intra-cell traffic, not ours
 	}
+	delete(s.pending, key)
+	now := s.kernel.Now()
+	s.outbox = append(s.outbox, xsend{
+		deliverAt: now + s.in.WireDelay,
+		src:       s.idx,
+		dst:       s.in.home[send.dst],
+		seq:       s.xseq,
+		dstAddr:   send.dst,
+		bytes:     bytes,
+		latency:   now - send.createdAt,
+	})
+	s.xseq++
+	s.forwarded++
 }
 
-// runWindow advances the shard's kernel to the window limit. After a
-// failure the shard holds position and reports the same error.
-func (s *shard) runWindow(w window) {
+// run advances the shard's kernel to the window limit. After a failure
+// the shard holds position and reports the same error.
+func (s *shard) run(w window) {
 	if s.err != nil {
 		return
 	}
@@ -109,43 +135,32 @@ func (s *shard) execDeliver(x xsend) {
 	}
 }
 
-// runSharded drives one Run call on the sharded engine.
-func (in *Internet) runSharded(cycles int) error {
+// Run advances every cell by the given number of notification cycles on
+// a shared virtual clock. On an internal cell failure the returned
+// error is a *CellError naming the cell and the virtual time it had
+// reached; the deployment is poisoned for further runs, but every
+// cell's partial metrics and traces remain readable.
+func (in *Internet) Run(cycles int) error {
+	if cycles <= 0 {
+		return fmt.Errorf("backbone: non-positive cycle count")
+	}
 	start := in.committed
-	for _, cell := range in.cells {
-		if err := cell.ScheduleCycles(cycles, start); err != nil {
+	for _, s := range in.shards {
+		if err := s.cell.ScheduleCycles(cycles, start); err != nil {
 			return err
 		}
 	}
 	horizon := horizonFor(start, cycles)
-
-	var wg sync.WaitGroup
-	for _, s := range in.shards {
-		s.cmd = make(chan window)
-		s.wg = &wg
-		go s.loop()
-	}
-	defer func() {
-		for _, s := range in.shards {
-			close(s.cmd)
-		}
-	}()
+	workers := min(runtime.GOMAXPROCS(0), len(in.shards))
 
 	var failure *CellError
 	w := start
 	for {
 		win := window{limit: horizon, inclusive: true}
 		if w < horizon {
-			win = window{limit: w + in.lookahead}
-			if win.limit > horizon {
-				win.limit = horizon
-			}
+			win = window{limit: min(w+in.lookahead, horizon)}
 		}
-		wg.Add(len(in.shards))
-		for _, s := range in.shards {
-			s.cmd <- win
-		}
-		wg.Wait()
+		in.runWindow(win, workers)
 		for _, s := range in.shards {
 			if s.err != nil && (failure == nil || s.err.At < failure.At ||
 				(s.err.At == failure.At && s.err.Cell < failure.Cell)) {
@@ -158,8 +173,8 @@ func (in *Internet) runSharded(cycles int) error {
 		in.exchange()
 		in.committed = win.limit
 		if win.inclusive {
-			for _, cell := range in.cells {
-				cell.FlushSeries()
+			for _, s := range in.shards {
+				s.cell.FlushSeries()
 			}
 		}
 		in.applyLatencies(in.committed)
@@ -175,6 +190,29 @@ func (in *Internet) runSharded(cycles int) error {
 		return failure
 	}
 	return nil
+}
+
+// runWindow runs every shard through one window on `workers` workers,
+// the coordinator among them, and returns at the barrier.
+func (in *Internet) runWindow(w window, workers int) {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(in.shards)); i = next.Add(1) - 1 {
+			in.shards[i].run(w)
+		}
+	}
+	wg.Add(workers - 1)
+	for k := 1; k < workers; k++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // syncCounters folds the shards' running forward/deliver totals into

@@ -18,8 +18,8 @@ import (
 )
 
 // twinScenario is one differential-test configuration: the same
-// deployment is run on the serial oracle and the sharded engine and
-// every observable output must match byte for byte.
+// deployment is run on the shared-kernel oracle and the production
+// engine and every observable output must match byte for byte.
 type twinScenario struct {
 	cells     int
 	gps, data int // subscribers per cell
@@ -54,8 +54,26 @@ type twinOutcome struct {
 // dataAddr returns the global address of data subscriber i in cell c.
 func dataAddr(c, i int) Address { return Address(10000 + c*64 + i) }
 
+// newDeployment builds a deployment on the production engine, or on
+// the shared-kernel oracle when onOracle is set, and returns it with
+// the Run that drives it.
+func newDeployment(cfg core.Config, o Options, onOracle bool) (*Internet, func(cycles int) error, error) {
+	if !onOracle {
+		in, err := NewWithOptions(cfg, o)
+		if err != nil {
+			return nil, nil, err
+		}
+		return in, in.Run, nil
+	}
+	or, err := newOracle(cfg, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return or.Internet, or.Run, nil
+}
+
 // buildTwin constructs the deployment for a scenario on one engine.
-func buildTwin(t *testing.T, s twinScenario, sharded bool, tracer core.Tracer, cellTracer func(int) core.Tracer) *Internet {
+func buildTwin(t *testing.T, s twinScenario, onOracle bool, tracer core.Tracer, cellTracer func(int) core.Tracer) (*Internet, func(int) error) {
 	t.Helper()
 	cfg := core.NewConfig()
 	cfg.Seed = s.seed
@@ -68,13 +86,12 @@ func buildTwin(t *testing.T, s twinScenario, sharded bool, tracer core.Tracer, c
 		cfg.MeanInterarrival = traffic.InterarrivalForSlots(
 			s.load, s.data, cfg.SizeDist, frame.MaxPayload, phy.CycleLength, dataSlots)
 	}
-	in, err := NewWithOptions(cfg, Options{
+	in, run, err := newDeployment(cfg, Options{
 		Cells:      s.cells,
 		WireDelay:  s.wire,
-		Sharded:    sharded,
 		Lookahead:  s.lookahead,
 		CellTracer: cellTracer,
-	})
+	}, onOracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +107,11 @@ func buildTwin(t *testing.T, s twinScenario, sharded bool, tracer core.Tracer, c
 			}
 		}
 	}
-	return in
+	return in, run
 }
 
 // runTwin executes a scenario on one engine and collects the outcome.
-func runTwin(t *testing.T, s twinScenario, sharded bool) twinOutcome {
+func runTwin(t *testing.T, s twinScenario, onOracle bool) twinOutcome {
 	t.Helper()
 	buf := &core.TraceBuffer{Cap: 1 << 21}
 	checkers := make([]*conformance.Checker, s.cells)
@@ -106,14 +123,14 @@ func runTwin(t *testing.T, s twinScenario, sharded bool) twinOutcome {
 		})
 		return checkers[cell]
 	}
-	in := buildTwin(t, s, sharded, buf, cellTracer)
+	in, run := buildTwin(t, s, onOracle, buf, cellTracer)
 	var out twinOutcome
 	record := func(err error) {
 		if err != nil && out.runErr == "" {
 			out.runErr = err.Error()
 		}
 	}
-	record(in.Run(s.warm))
+	record(run(s.warm))
 	for k := 0; k < s.sends && out.runErr == ""; k++ {
 		src := dataAddr(k%s.cells, k%s.data)
 		dst := dataAddr((k+1)%s.cells, (k/s.cells)%s.data)
@@ -123,7 +140,7 @@ func runTwin(t *testing.T, s twinScenario, sharded bool) twinOutcome {
 		}
 	}
 	if out.runErr == "" {
-		record(in.Run(s.main))
+		record(run(s.main))
 	}
 	for c := 0; c < s.cells; c++ {
 		snap, err := json.Marshal(in.Cell(c).Metrics().Snapshot())
@@ -217,49 +234,50 @@ func twinGrid(short bool) []twinScenario {
 	return grid
 }
 
-// TestTwinShardedMatchesSerial is the core differential battery:
-// sharded-vs-single-kernel byte-identity over a (cells × subscribers ×
-// loads × seeds) grid, comparing metrics snapshots, trace streams, and
-// per-cell conformance reports.
+// TestTwinShardedMatchesSerial is the core differential battery: the
+// per-cell-kernel production engine against the shared-kernel oracle,
+// byte for byte over a (cells × subscribers × loads × seeds) grid,
+// comparing metrics snapshots, trace streams, and per-cell conformance
+// reports.
 func TestTwinShardedMatchesSerial(t *testing.T) {
 	for _, s := range twinGrid(testing.Short()) {
 		s := s
 		t.Run(s.String(), func(t *testing.T) {
-			serial := runTwin(t, s, false)
-			sharded := runTwin(t, s, true)
-			compareOutcomes(t, "sharded vs serial", serial, sharded)
-			if len(serial.traces) == 0 {
+			want := runTwin(t, s, true)
+			got := runTwin(t, s, false)
+			compareOutcomes(t, "oracle vs production", want, got)
+			if len(want.traces) == 0 {
 				t.Fatal("empty trace stream; the comparison proved nothing")
 			}
-			if s.sends > 0 && serial.forwarded == 0 {
+			if s.sends > 0 && want.forwarded == 0 {
 				t.Fatal("no cross-cell traffic forwarded; the exchange path was not exercised")
 			}
 		})
 	}
 }
 
-// TestTwinGOMAXPROCS pins scheduler independence: the sharded engine
-// must produce identical bytes at GOMAXPROCS=1 and GOMAXPROCS=N.
+// TestTwinGOMAXPROCS pins scheduler independence: the production
+// engine must produce identical bytes at GOMAXPROCS=1 and GOMAXPROCS=N.
 func TestTwinGOMAXPROCS(t *testing.T) {
 	s := twinScenario{cells: 4, gps: 2, data: 3, load: 0.8, seed: 42,
 		warm: 4, main: 12, wire: 120 * time.Millisecond, sends: 10}
 	prev := runtime.GOMAXPROCS(1)
-	one := runTwin(t, s, true)
+	one := runTwin(t, s, false)
 	runtime.GOMAXPROCS(8)
-	many := runTwin(t, s, true)
+	many := runTwin(t, s, false)
 	runtime.GOMAXPROCS(prev)
 	compareOutcomes(t, "GOMAXPROCS 1 vs 8", one, many)
 }
 
-// TestTwinFlakeDetector requires three consecutive identical sharded
-// runs: a scheduler-dependent leak shows up as run-to-run jitter long
-// before it shows up against the oracle.
+// TestTwinFlakeDetector requires three consecutive identical
+// production runs: a scheduler-dependent leak shows up as run-to-run
+// jitter long before it shows up against the oracle.
 func TestTwinFlakeDetector(t *testing.T) {
 	s := twinScenario{cells: 3, gps: 1, data: 3, load: 0.9, seed: 11,
 		warm: 4, main: 10, wire: 80 * time.Millisecond, sends: 8}
-	first := runTwin(t, s, true)
+	first := runTwin(t, s, false)
 	for rep := 1; rep < 3; rep++ {
-		again := runTwin(t, s, true)
+		again := runTwin(t, s, false)
 		compareOutcomes(t, fmt.Sprintf("run 0 vs run %d", rep), first, again)
 	}
 }
@@ -270,118 +288,101 @@ func TestTwinFlakeDetector(t *testing.T) {
 func TestTwinLookaheadInvariance(t *testing.T) {
 	base := twinScenario{cells: 3, gps: 1, data: 2, load: 0.7, seed: 5,
 		warm: 4, main: 10, wire: 200 * time.Millisecond, sends: 6}
-	ref := runTwin(t, base, true)
+	ref := runTwin(t, base, false)
 	for _, la := range []time.Duration{200 * time.Millisecond, 70 * time.Millisecond, time.Millisecond} {
 		s := base
 		s.lookahead = la
-		got := runTwin(t, s, true)
+		got := runTwin(t, s, false)
 		compareOutcomes(t, fmt.Sprintf("lookahead %v", la), ref, got)
 	}
 }
 
-// TestShardedValidation pins the sharded-engine constructor contract.
+// TestShardedValidation pins the constructor contract: a positive
+// WireDelay (the lookahead bound) and a lookahead within it.
 func TestShardedValidation(t *testing.T) {
 	cfg := core.NewConfig()
-	if _, err := NewWithOptions(cfg, Options{Cells: 2, Sharded: true}); err == nil {
-		t.Fatal("sharded mode without WireDelay accepted")
+	if _, err := NewWithOptions(cfg, Options{Cells: 2}); err == nil {
+		t.Fatal("deployment without WireDelay accepted")
 	}
-	if _, err := NewWithOptions(cfg, Options{Cells: 2, Sharded: true,
+	if _, err := NewWithOptions(cfg, Options{Cells: 1, WireDelay: -time.Millisecond}); err == nil {
+		t.Fatal("negative WireDelay accepted")
+	}
+	if _, err := NewWithOptions(cfg, Options{Cells: 2,
 		WireDelay: 10 * time.Millisecond, Lookahead: 20 * time.Millisecond}); err == nil {
 		t.Fatal("lookahead beyond WireDelay accepted")
 	}
-	in, err := NewWithOptions(cfg, Options{Cells: 2, Sharded: true, WireDelay: 10 * time.Millisecond})
+	in, err := NewWithOptions(cfg, Options{Cells: 2, WireDelay: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !in.Sharded() || in.Kernel() != nil {
-		t.Fatal("sharded deployment must report Sharded and expose no shared kernel")
 	}
 	if in.Now() != 0 {
 		t.Fatalf("fresh deployment Now() = %v", in.Now())
 	}
 }
 
-// TestCellErrorSerial: a mid-flight cell failure on the serial engine
-// surfaces as a *CellError naming the cell and failure time.
-func TestCellErrorSerial(t *testing.T) {
-	in := newInternet(t, 3)
-	boom := errors.New("injected fault")
-	failAt := 5 * time.Second
-	cell := in.Cell(2)
-	cell.Sim().After(failAt, func() { cell.Abort("twin-test", boom) })
-	err := in.Run(4)
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CellError", err)
-	}
-	if ce.Cell != 2 {
-		t.Fatalf("failed cell = %d, want 2", ce.Cell)
-	}
-	if ce.At != failAt {
-		t.Fatalf("failure time = %v, want %v", ce.At, failAt)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatal("CellError must unwrap to the injected cause")
-	}
-	var ie *core.InternalError
-	if !errors.As(err, &ie) {
-		t.Fatal("CellError must unwrap to the cell's *core.InternalError")
-	}
-}
-
-// TestCellErrorSharded: the same failure surfacing contract holds on
-// the sharded engine, where the other shards keep their window-local
+// TestCellError: a mid-flight cell failure surfaces as a *CellError
+// naming the cell and failure time, on the oracle and on the
+// production engine, where the healthy cells keep their window-local
 // partial progress.
-func TestCellErrorSharded(t *testing.T) {
-	cfg := core.NewConfig()
-	cfg.Seed = 5
-	in, err := NewWithOptions(cfg, Options{Cells: 3, WireDelay: 30 * time.Millisecond, Sharded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("injected fault")
-	failAt := 5 * time.Second
-	cell := in.Cell(1)
-	cell.Sim().After(failAt, func() { cell.Abort("twin-test", boom) })
-	runErr := in.Run(4)
-	var ce *CellError
-	if !errors.As(runErr, &ce) {
-		t.Fatalf("err = %v, want *CellError", runErr)
-	}
-	if ce.Cell != 1 {
-		t.Fatalf("failed cell = %d, want 1", ce.Cell)
-	}
-	if ce.At != failAt {
-		t.Fatalf("failure time = %v, want %v", ce.At, failAt)
-	}
-	if !errors.Is(runErr, boom) {
-		t.Fatal("CellError must unwrap to the injected cause")
-	}
-	// The healthy cells advanced to (at least) the barrier before the
-	// failing window — their partial progress is not discarded.
-	if in.Cell(0).Cycle() == 0 || in.Cell(2).Cycle() == 0 {
-		t.Fatal("healthy shards lost their partial progress")
+func TestCellError(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		onOracle bool
+	}{{"oracle", true}, {"production", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.NewConfig()
+			cfg.Seed = 5
+			in, run, err := newDeployment(cfg, Options{Cells: 3, WireDelay: 30 * time.Millisecond}, tc.onOracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boom := errors.New("injected fault")
+			failAt := 5 * time.Second
+			cell := in.Cell(1)
+			cell.Sim().After(failAt, func() { cell.Abort("twin-test", boom) })
+			runErr := run(4)
+			var ce *CellError
+			if !errors.As(runErr, &ce) {
+				t.Fatalf("err = %v, want *CellError", runErr)
+			}
+			if ce.Cell != 1 {
+				t.Fatalf("failed cell = %d, want 1", ce.Cell)
+			}
+			if ce.At != failAt {
+				t.Fatalf("failure time = %v, want %v", ce.At, failAt)
+			}
+			if !errors.Is(runErr, boom) {
+				t.Fatal("CellError must unwrap to the injected cause")
+			}
+			var ie *core.InternalError
+			if !errors.As(runErr, &ie) {
+				t.Fatal("CellError must unwrap to the cell's *core.InternalError")
+			}
+			if in.Cell(0).Cycle() == 0 || in.Cell(2).Cycle() == 0 {
+				t.Fatal("healthy cells lost their partial progress")
+			}
+		})
 	}
 }
 
 // TestShardedMultiRunSegments: segmented Run calls with between-run
-// sends must match one long serial run of the same segmentation.
+// sends must match the oracle run of the same segmentation.
 func TestShardedMultiRunSegments(t *testing.T) {
-	run := func(sharded bool) twinOutcome {
+	segmented := func(onOracle bool) twinOutcome {
 		buf := &core.TraceBuffer{Cap: 1 << 20}
 		s := twinScenario{cells: 2, gps: 0, data: 2, load: 0.6, seed: 17,
 			wire: 40 * time.Millisecond}
-		in := buildTwin(t, s, sharded, buf, nil)
+		in, run := buildTwin(t, s, onOracle, buf, nil)
 		var out twinOutcome
 		for seg := 0; seg < 3; seg++ {
-			if err := in.Run(4); err != nil {
+			if err := run(4); err != nil {
 				t.Fatal(err)
 			}
 			if err := in.Send(dataAddr(0, seg%2), dataAddr(1, seg%2), 150); err != nil {
 				out.sendErrs = append(out.sendErrs, err.Error())
 			}
 		}
-		if err := in.Run(8); err != nil {
+		if err := run(8); err != nil {
 			t.Fatal(err)
 		}
 		for c := 0; c < 2; c++ {
@@ -400,7 +401,7 @@ func TestShardedMultiRunSegments(t *testing.T) {
 		out.latSum = in.EndToEndLat.Sum()
 		return out
 	}
-	compareOutcomes(t, "segmented", run(false), run(true))
+	compareOutcomes(t, "segmented", segmented(true), segmented(false))
 }
 
 // TestOneCellMatchesStandalone: a one-cell deployment is a standalone
@@ -466,42 +467,40 @@ func TestOneCellMatchesStandalone(t *testing.T) {
 		}
 
 		for _, wire := range []time.Duration{25 * time.Millisecond, phy.CycleLength} {
-			for _, sharded := range []bool{false, true} {
-				label := fmt.Sprintf("seed=%d wire=%v sharded=%v", seed, wire, sharded)
-				deployed := cfg
-				buf := &core.TraceBuffer{Cap: 1 << 20}
-				deployed.Tracer = buf
-				in, err := NewWithOptions(deployed, Options{Cells: 1, WireDelay: wire, Sharded: sharded})
-				if err != nil {
+			label := fmt.Sprintf("seed=%d wire=%v", seed, wire)
+			deployed := cfg
+			buf := &core.TraceBuffer{Cap: 1 << 20}
+			deployed.Tracer = buf
+			in, err := NewWithOptions(deployed, Options{Cells: 1, WireDelay: wire})
+			if err != nil {
+				t.Fatal(err)
+			}
+			populate(func(ein frame.EIN, isGPS bool, joinAt time.Duration) error {
+				_, err := in.AddSubscriber(ein, 0, isGPS, joinAt)
+				return err
+			})
+			for _, cycles := range []int{10, 60} {
+				if err := in.Run(cycles); err != nil {
 					t.Fatal(err)
 				}
-				populate(func(ein frame.EIN, isGPS bool, joinAt time.Duration) error {
-					_, err := in.AddSubscriber(ein, 0, isGPS, joinAt)
-					return err
-				})
-				for _, cycles := range []int{10, 60} {
-					if err := in.Run(cycles); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got := collect(in.Cell(0), buf)
-				if got.snap != want.snap {
-					t.Fatalf("%s: metrics snapshot differs:\ncell:       %s\nstandalone: %s", label, got.snap, want.snap)
-				}
-				if !reflect.DeepEqual(got.series, want.series) {
-					t.Fatalf("%s: per-cycle series differs", label)
-				}
-				if got.events != want.events {
-					t.Fatalf("%s: %d kernel events, standalone fired %d", label, got.events, want.events)
-				}
-				if len(got.traces) != len(want.traces) {
-					t.Fatalf("%s: %d trace events, standalone emitted %d", label, len(got.traces), len(want.traces))
-				}
-				for i := range got.traces {
-					if got.traces[i] != want.traces[i] {
-						t.Fatalf("%s: trace event %d differs:\ncell:       %+v\nstandalone: %+v",
-							label, i, got.traces[i], want.traces[i])
-					}
+			}
+			got := collect(in.Cell(0), buf)
+			if got.snap != want.snap {
+				t.Fatalf("%s: metrics snapshot differs:\ncell:       %s\nstandalone: %s", label, got.snap, want.snap)
+			}
+			if !reflect.DeepEqual(got.series, want.series) {
+				t.Fatalf("%s: per-cycle series differs", label)
+			}
+			if got.events != want.events {
+				t.Fatalf("%s: %d kernel events, standalone fired %d", label, got.events, want.events)
+			}
+			if len(got.traces) != len(want.traces) {
+				t.Fatalf("%s: %d trace events, standalone emitted %d", label, len(got.traces), len(want.traces))
+			}
+			for i := range got.traces {
+				if got.traces[i] != want.traces[i] {
+					t.Fatalf("%s: trace event %d differs:\ncell:       %+v\nstandalone: %+v",
+						label, i, got.traces[i], want.traces[i])
 				}
 			}
 		}

@@ -1,7 +1,8 @@
 package experiments
 
 // Metro-scale deployment runner: thousands of OSU-MAC cells on one
-// backbone, exercising the sharded kernel at the scale it exists for.
+// backbone, exercising the per-cell-kernel engine at the scale it
+// exists for.
 //
 // The 16-bit EIN space caps the backbone's global routing table at
 // 65536 addresses, so a metro deployment splits its population the way
@@ -44,11 +45,10 @@ type MetroOptions struct {
 	// Warmup and Cycles split the run: ring traffic is injected after
 	// Warmup settles registrations.
 	Warmup, Cycles int
-	// WireDelay is the backbone latency (and the sharded engine's
-	// conservative-lookahead bound).
+	// WireDelay is the backbone latency (and the conservative-lookahead
+	// bound); it must be positive.
 	WireDelay time.Duration
-	// Sharded selects the per-cell-kernel engine; false runs the serial
-	// oracle. Same-seed results are byte-identical either way.
+	// Deprecated: Sharded has no effect; every deployment runs one kernel per cell.
 	Sharded bool
 	// Lookahead overrides the barrier window (0: WireDelay).
 	Lookahead time.Duration
@@ -68,13 +68,12 @@ func DefaultMetro() MetroOptions {
 		Warmup:        2,
 		Cycles:        3,
 		WireDelay:     phy.CycleLength,
-		Sharded:       true,
 	}
 }
 
 // MetroResult is a metro run's outcome, reduced to headline numbers and
 // a digest over every per-cell metrics snapshot. Equal digests mean
-// byte-identical per-cell metrics — the cross-engine comparison a
+// byte-identical per-cell metrics — the cross-run comparison a
 // million-subscriber run can afford.
 type MetroResult struct {
 	Cells       int
@@ -83,8 +82,7 @@ type MetroResult struct {
 	Delivered   uint64
 	// RingSends counts accepted ring injections; sources still working
 	// through registration contention after Warmup are skipped (the
-	// skip set is deterministic: both engines see identical post-warmup
-	// state).
+	// skip set is deterministic, because the post-warmup state is).
 	RingSends   int
 	MeanLatency float64 // seconds, uplink arrival → downlink enqueue
 	Utilization float64 // mean reverse-link utilization across cells
@@ -124,7 +122,6 @@ func Metro(opts MetroOptions) (*MetroResult, error) {
 	in, err := backbone.NewWithOptions(cfg, backbone.Options{
 		Cells:     opts.Cells,
 		WireDelay: opts.WireDelay,
-		Sharded:   opts.Sharded,
 		Lookahead: opts.Lookahead,
 	})
 	if err != nil {
@@ -163,7 +160,7 @@ func Metro(opts MetroOptions) (*MetroResult, error) {
 	// next cell's, so every (src, dst) backbone pair on the ring carries
 	// one message and every exchange batch has cross-cell merge work.
 	// Sources still in registration contention are skipped; the skip set
-	// is engine-independent because the post-warmup state is.
+	// is deterministic because the post-warmup state is.
 	ringSends := 0
 	if opts.RoutedPerCell > 0 && opts.Cells > 1 {
 		for c := 0; c < opts.Cells; c++ {

@@ -31,9 +31,9 @@ var randConstructors = map[string]bool{
 }
 
 // wallClockWaits are the time-package functions that block on (or fire
-// from) the process's wall clock. The sharded backbone engine runs real
-// goroutines, so a stray sleep or timer would couple barrier timing to
-// host scheduling; all waiting must go through channel receives and
+// from) the process's wall clock. The backbone runs its cell shards on
+// real worker goroutines, so a stray sleep or timer would couple
+// barrier timing to host scheduling; all waiting must go through
 // WaitGroup barriers whose ordering the coordinator pins.
 var wallClockWaits = map[string]bool{
 	"Sleep":     true,

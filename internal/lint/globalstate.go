@@ -6,9 +6,10 @@ import (
 	"go/types"
 )
 
-// globalStatePackages is the shard-readiness scope: packages that will
-// run concurrently once ROADMAP item 1 lands shard-per-cell kernels.
-// Package-level mutable state in any of them is a data race in waiting.
+// globalStatePackages is the shard-safety scope: packages whose code
+// runs concurrently on the backbone's worker pool, one kernel shard per
+// cell. Package-level mutable state in any of them is a data race in
+// waiting.
 var globalStatePackages = []string{
 	"internal/core",
 	"internal/sched",

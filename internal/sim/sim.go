@@ -30,8 +30,9 @@ type Priority int
 // local event at the same instant, so a delivery's position in the
 // total order depends only on its (time, source cell, source sequence)
 // key and never on the scheduling interleaving of unrelated cells —
-// the property that lets the sharded multi-cell engine reproduce the
-// single-kernel order exactly (see internal/backbone).
+// the property that lets the backbone's per-cell kernels reproduce the
+// order of one shared kernel exactly (see internal/backbone, whose test
+// oracle runs every cell on one kernel).
 const (
 	PriorityDeliver  Priority = -10
 	PriorityNormal   Priority = 0
@@ -332,68 +333,4 @@ func (s *Simulator) RunBefore(limit time.Duration) error {
 		s.now = limit
 	}
 	return nil
-}
-
-// RunUntilIdle executes all queued events and leaves the clock at the
-// time of the last event fired. It is intended for tests; production
-// scenarios should use Run with a finite horizon so that periodic
-// processes terminate.
-func (s *Simulator) RunUntilIdle() error {
-	s.stopped = false
-	for {
-		src, at, ok := s.nextUp()
-		if !ok {
-			break
-		}
-		if s.stopped {
-			return ErrStopped
-		}
-		if src != nil {
-			s.now = at
-			s.fired++
-			src.FireAction()
-			continue
-		}
-		popped, popOK := heap.Pop(&s.queue).(*Event)
-		if !popOK {
-			return errors.New("sim: corrupt event queue")
-		}
-		s.now = popped.at
-		s.fired++
-		fn := popped.fn
-		popped.fn = nil
-		if fn != nil {
-			fn()
-		}
-	}
-	return nil
-}
-
-// Every schedules fn to run now+period, now+2·period, … until the
-// returned stop function is invoked or the simulation ends. The period
-// must be positive.
-func (s *Simulator) Every(period time.Duration, fn func()) (stop func(), err error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("sim: non-positive period %v", period)
-	}
-	var (
-		current *Event
-		halted  bool
-	)
-	var tick func()
-	tick = func() {
-		if halted {
-			return
-		}
-		fn()
-		if halted {
-			return
-		}
-		current = s.After(period, tick)
-	}
-	current = s.After(period, tick)
-	return func() {
-		halted = true
-		s.Cancel(current)
-	}, nil
 }

@@ -7,13 +7,17 @@ import (
 	"time"
 )
 
+// horizon bounds the tests' runs; it lies past every event they
+// schedule.
+const horizon = time.Hour
+
 func TestRunOrdersEventsByTime(t *testing.T) {
 	s := New()
 	var got []int
 	s.After(30*time.Millisecond, func() { got = append(got, 3) })
 	s.After(10*time.Millisecond, func() { got = append(got, 1) })
 	s.After(20*time.Millisecond, func() { got = append(got, 2) })
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	want := []int{1, 2, 3}
@@ -40,7 +44,7 @@ func TestSameInstantOrdersByPriorityThenSeq(t *testing.T) {
 	if _, err := s.At(at, PriorityNormal, func() { got = append(got, "n2") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"deliver", "n1", "n2", "late"}
@@ -61,25 +65,22 @@ func TestSchedulingInPastFails(t *testing.T) {
 			t.Error("scheduling in the past should fail")
 		}
 	})
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestNegativeDelayClampsToNow(t *testing.T) {
 	s := New()
-	fired := false
+	firedAt := time.Duration(-1)
 	s.After(time.Millisecond, func() {
-		s.After(-time.Second, func() { fired = true })
+		s.After(-time.Second, func() { firedAt = s.Now() })
 	})
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
-	if !fired {
-		t.Fatal("clamped event did not fire")
-	}
-	if s.Now() != time.Millisecond {
-		t.Fatalf("now = %v, want 1ms", s.Now())
+	if firedAt != time.Millisecond {
+		t.Fatalf("clamped event fired at %v, want 1ms", firedAt)
 	}
 }
 
@@ -125,7 +126,7 @@ func TestStopHaltsLoop(t *testing.T) {
 			}
 		})
 	}
-	err := s.RunUntilIdle()
+	err := s.Run(horizon)
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
@@ -147,7 +148,7 @@ func TestCancel(t *testing.T) {
 	if s.Cancel(nil) {
 		t.Fatal("cancel(nil) returned true")
 	}
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -166,7 +167,7 @@ func TestCancelOneOfMany(t *testing.T) {
 		}))
 	}
 	s.Cancel(events[2])
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{0, 1, 3, 4}
@@ -180,68 +181,12 @@ func TestCancelOneOfMany(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
-	s := New()
-	count := 0
-	stop, err := s.Every(time.Second, func() { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("count = %d, want 10", count)
-	}
-	stop()
-	if err := s.Run(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("count after stop = %d, want 10", count)
-	}
-}
-
-func TestEveryStopFromWithinTick(t *testing.T) {
-	s := New()
-	count := 0
-	var stop func()
-	stop, err := s.Every(time.Second, func() {
-		count++
-		if count == 3 {
-			stop()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", s.Pending())
-	}
-}
-
-func TestEveryRejectsNonPositivePeriod(t *testing.T) {
-	s := New()
-	if _, err := s.Every(0, func() {}); err == nil {
-		t.Fatal("period 0 accepted")
-	}
-	if _, err := s.Every(-time.Second, func() {}); err == nil {
-		t.Fatal("negative period accepted")
-	}
-}
-
 func TestEventsFiredCounter(t *testing.T) {
 	s := New()
 	for i := 0; i < 7; i++ {
 		s.After(time.Duration(i)*time.Millisecond, func() {})
 	}
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	if s.EventsFired() != 7 {
@@ -266,7 +211,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 				return false
 			}
 		}
-		if err := s.RunUntilIdle(); err != nil {
+		if err := s.Run(horizon); err != nil {
 			return false
 		}
 		if len(fireTimes) != len(delays) {
@@ -298,7 +243,7 @@ func TestPropertySameInstantFIFO(t *testing.T) {
 				return false
 			}
 		}
-		if err := s.RunUntilIdle(); err != nil {
+		if err := s.Run(horizon); err != nil {
 			return false
 		}
 		for i := range got {
@@ -333,7 +278,7 @@ func TestAfterPriorityOrdersAtSameInstant(t *testing.T) {
 	var got []string
 	s.AfterPriority(time.Millisecond, PriorityLate, func() { got = append(got, "late") })
 	s.AfterPriority(time.Millisecond, PriorityDeliver, func() { got = append(got, "deliver") })
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != "deliver" || got[1] != "late" {
@@ -342,7 +287,7 @@ func TestAfterPriorityOrdersAtSameInstant(t *testing.T) {
 	// Negative delay clamps like After.
 	fired := false
 	s.AfterPriority(-time.Second, PriorityNormal, func() { fired = true })
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
@@ -460,7 +405,7 @@ func TestPriorityBackboneSortsAfterLocalEvents(t *testing.T) {
 	if _, err := s.At(at, PriorityNormal, func() { got = append(got, "normal") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunUntilIdle(); err != nil {
+	if err := s.Run(horizon); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"normal", "late", "bb"}

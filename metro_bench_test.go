@@ -1,13 +1,13 @@
 package osumac_test
 
-// Metro-scale benchmark for the sharded backbone kernel. The CI
-// variants size a 100-cell slice on both engines so the benchdiff gate
-// tracks the sharded coordinator's overhead against the serial oracle;
-// the full metro (14k cells, ~1M subscribers) is too heavy for every CI
-// run and is gated behind OSUMAC_METRO=1. On a multi-core machine the
-// sharded engine's per-cell kernels run concurrently between barriers
-// (design target: ≥4× at 8 cores); on one core it measures pure
-// coordination overhead.
+// Metro-scale benchmark for the multi-cell backbone engine. The CI
+// variant sizes a 100-cell slice so the benchdiff gate tracks the
+// engine's barrier and exchange overhead; its name, ci-sharded, is the
+// one BENCH_4.json records. The full metro (14k cells, ~1M subscribers)
+// is too heavy for every CI run and is gated behind OSUMAC_METRO=1.
+// Between barriers the per-cell kernels run on a pool of GOMAXPROCS
+// workers; `bash bench/run.sh --workload metro --trace 1` reports the
+// measured speed-up over one worker as backbone.speedup_procs.
 
 import (
 	"os"
@@ -17,7 +17,7 @@ import (
 	"github.com/osu-netlab/osumac/internal/phy"
 )
 
-func metroBenchOptions(cells int, sharded bool) experiments.MetroOptions {
+func metroBenchOptions(cells int) experiments.MetroOptions {
 	return experiments.MetroOptions{
 		Cells:         cells,
 		GPSPerCell:    1,
@@ -28,11 +28,10 @@ func metroBenchOptions(cells int, sharded bool) experiments.MetroOptions {
 		Warmup:        2,
 		Cycles:        4,
 		WireDelay:     phy.CycleLength,
-		Sharded:       sharded,
 	}
 }
 
-// BenchmarkMetroSweep measures the multi-cell backbone on both engines.
+// BenchmarkMetroSweep measures the multi-cell backbone.
 func BenchmarkMetroSweep(b *testing.B) {
 	run := func(b *testing.B, opts experiments.MetroOptions) {
 		var res *experiments.MetroResult
@@ -47,8 +46,7 @@ func BenchmarkMetroSweep(b *testing.B) {
 		b.ReportMetric(float64(res.Delivered), "delivered")
 		b.ReportMetric(res.Utilization, "util-mean")
 	}
-	b.Run("ci-serial", func(b *testing.B) { run(b, metroBenchOptions(100, false)) })
-	b.Run("ci-sharded", func(b *testing.B) { run(b, metroBenchOptions(100, true)) })
+	b.Run("ci-sharded", func(b *testing.B) { run(b, metroBenchOptions(100)) })
 	if os.Getenv("OSUMAC_METRO") == "" {
 		b.Log("full metro variant skipped; set OSUMAC_METRO=1 to run 14k cells / ~1M subscribers")
 		return

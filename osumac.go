@@ -90,8 +90,8 @@ type (
 	Internet = backbone.Internet
 	// Address is a subscriber's global (EIN-based) address.
 	Address = backbone.Address
-	// InternetOptions configures a multi-cell deployment's execution
-	// engine (serial oracle or sharded per-cell kernels).
+	// InternetOptions configures a multi-cell deployment: cells, wire
+	// delay, barrier window and per-cell tracers.
 	InternetOptions = backbone.Options
 	// CellError names the cell and virtual time of a mid-flight
 	// multi-cell run failure.
@@ -121,10 +121,11 @@ var (
 	NewGilbertElliott = phy.NewGilbertElliott
 	// NewAWGN builds a Gaussian channel at a given Eb/N0 (dB).
 	NewAWGN = phy.NewAWGN
-	// NewInternet builds a multi-cell deployment on one virtual clock.
+	// NewInternet builds a multi-cell deployment on one virtual clock:
+	// one kernel per cell, synchronized at backbone barriers.
 	NewInternet = backbone.New
-	// NewInternetWithOptions builds a multi-cell deployment with full
-	// engine control, including the sharded per-cell-kernel engine.
+	// NewInternetWithOptions builds a multi-cell deployment with control
+	// over the barrier window and per-cell tracers.
 	NewInternetWithOptions = backbone.NewWithOptions
 	// AllEventKinds lists every defined trace-event kind.
 	AllEventKinds = core.AllEventKinds
