@@ -74,8 +74,8 @@ type Options struct {
 
 // Internet is a set of OSU-MAC cells joined by a wired backbone.
 type Internet struct {
-	shards []*shard // one per cell, in cell order
-	taps   []*cellTap
+	shards []*shard   // one per cell, in cell order
+	taps   []*cellTap // per-cell trace taps (entries may be nil)
 	sink   core.Tracer
 
 	// WireDelay is the one-way backbone latency between any two base
