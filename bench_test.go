@@ -600,16 +600,16 @@ func benchInterarrival(load float64) time.Duration {
 	return InterarrivalForLoad(load, 10, 4, true)
 }
 
-func benchPopulate(b *testing.B, n *Network) {
-	b.Helper()
+func benchPopulate(tb testing.TB, n *Network) {
+	tb.Helper()
 	for i := 0; i < 4; i++ {
 		if _, err := n.AddSubscriber(EIN(1000+i), true, 0); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
 		if _, err := n.AddSubscriber(EIN(2000+i), false, 0); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

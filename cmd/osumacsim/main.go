@@ -26,7 +26,9 @@
 // report, byte-identical at any GOMAXPROCS. The metro path reads only
 // -cells, -gps, -data, -load, -seed, -warmup, -cycles, -wire-delay and
 // -json; any other flag set explicitly is an error there, and so is
-// -wire-delay on a single cell.
+// -wire-delay on a single cell. -hold and -publish-every need -http,
+// and -dump-dir, -flight-cap, -flight-cooldown and
+// -flight-fallback-rate need -flight-recorder.
 //
 // Examples:
 //
@@ -105,12 +107,17 @@ func run(args []string, out io.Writer) error {
 	if *cells < 1 {
 		return fmt.Errorf("-cells %d: need at least one cell", *cells)
 	}
-	// Every flag set must be one the selected path reads. Visit walks
-	// the set flags in name order, so the error is deterministic.
-	var unread []string
+	// Every flag set must be one the selected path reads, beside the
+	// flag it depends on. Visit walks the set flags in name order, so
+	// the error is deterministic.
+	on := map[string]bool{"http": *httpAddr != "", "flight-recorder": *flightOn}
+	var unread, orphans []string
 	fs.Visit(func(f *flag.Flag) {
 		if *cells > 1 && !metroFlags[f.Name] || *cells == 1 && f.Name == "wire-delay" {
 			unread = append(unread, "-"+f.Name)
+		}
+		if parent := dependentFlags[f.Name]; parent != "" && !on[parent] {
+			orphans = append(orphans, fmt.Sprintf("-%s needs -%s", f.Name, parent))
 		}
 	})
 	if len(unread) > 0 && *cells > 1 {
@@ -118,6 +125,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if len(unread) > 0 {
 		return fmt.Errorf("-wire-delay: multi-cell only; drop it or use -cells > 1")
+	}
+	if len(orphans) > 0 {
+		return fmt.Errorf("%s", strings.Join(orphans, "; "))
 	}
 	if *cells > 1 {
 		return runMetro(out, metroArgs{
@@ -283,6 +293,17 @@ func run(args []string, out io.Writer) error {
 var metroFlags = map[string]bool{
 	"cells": true, "gps": true, "data": true, "load": true, "seed": true,
 	"warmup": true, "cycles": true, "wire-delay": true, "json": true,
+}
+
+// dependentFlags maps each flag that only matters beside another to
+// that flag.
+var dependentFlags = map[string]string{
+	"hold":                 "http",
+	"publish-every":        "http",
+	"dump-dir":             "flight-recorder",
+	"flight-cap":           "flight-recorder",
+	"flight-cooldown":      "flight-recorder",
+	"flight-fallback-rate": "flight-recorder",
 }
 
 // metroArgs carries the multi-cell flags into the metro path.

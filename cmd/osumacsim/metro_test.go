@@ -78,7 +78,9 @@ func TestRunMetroFlagValidation(t *testing.T) {
 // TestRunFlagPaths sets every flag on its own, on one cell and on four,
 // and requires it to run exactly where the selected path reads it:
 // the metro path reads metroFlags, the single-cell path everything but
-// -wire-delay.
+// -wire-delay. A flag in dependentFlags is read only beside its parent
+// flag: on one cell it fails alone, naming the parent, and runs with
+// the parent set.
 func TestRunFlagPaths(t *testing.T) {
 	dir := t.TempDir()
 	values := map[string]string{
@@ -133,11 +135,20 @@ func TestRunFlagPaths(t *testing.T) {
 			if cells == 1 {
 				read = name != "wire-delay"
 			}
+			parent := dependentFlags[name]
 			err := run(args, &bytes.Buffer{})
-			if read && err != nil {
+			switch {
+			case read && parent != "":
+				if err == nil || !strings.Contains(err.Error(), "-"+name) || !strings.Contains(err.Error(), "-"+parent) {
+					t.Errorf("-cells %d -%s alone: error %v, want one naming it and -%s", cells, name, err, parent)
+				}
+				withParent := append(args, "-"+parent+"="+values[parent])
+				if err := run(withParent, &bytes.Buffer{}); err != nil {
+					t.Errorf("-cells %d -%s -%s: %v", cells, name, parent, err)
+				}
+			case read && err != nil:
 				t.Errorf("-cells %d -%s: %v", cells, name, err)
-			}
-			if !read && (err == nil || !strings.Contains(err.Error(), "-"+name)) {
+			case !read && (err == nil || !strings.Contains(err.Error(), "-"+name)):
 				t.Errorf("-cells %d -%s: error %v, want one naming the unread flag", cells, name, err)
 			}
 		}

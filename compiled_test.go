@@ -250,6 +250,36 @@ func TestCompiledCycleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSimulationCycleAllocs bounds what one cycle of the busy cell that
+// BenchmarkSimulationCycle times allocates. Kernel events, scheduler
+// tables, queued fragments, reassembly state and received packets are
+// all values or reused scratch; the closure ScheduleCycles queues per
+// cycle start is the one steady-state allocation left.
+func TestSimulationCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := NewConfig()
+	cfg.Seed = benchSeed
+	cfg.MeanInterarrival = benchInterarrival(0.9)
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchPopulate(t, n)
+	if err := n.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := n.Run(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("busy cell: %v allocs per cycle, want at most 2", allocs)
+	}
+}
+
 // TestCompiledDisabledRunsEventKernel verifies the escape hatch: with
 // the toggle set, no compiled cycle ever activates.
 func TestCompiledDisabledRunsEventKernel(t *testing.T) {

@@ -80,7 +80,7 @@ func (in *Internet) exchange() {
 	for _, x := range batch {
 		x := x
 		dst := in.shards[x.dst]
-		if _, err := dst.kernel.At(x.deliverAt, sim.PriorityBackbone, func() { dst.execDeliver(x) }); err != nil {
+		if err := dst.kernel.At(x.deliverAt, sim.PriorityBackbone, func() { dst.execDeliver(x) }); err != nil {
 			//lint:ignore panicfree provably unreachable: deliverAt >= window end = destination kernel's now (the conservative-lookahead invariant)
 			panic(err)
 		}

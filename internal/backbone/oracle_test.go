@@ -109,7 +109,7 @@ func (or *oracle) enqueue(x xsend) {
 		return
 	}
 	at := x.deliverAt
-	if _, err := or.kernel.At(at, sim.PriorityBackbone, func() { or.drain(at) }); err != nil {
+	if err := or.kernel.At(at, sim.PriorityBackbone, func() { or.drain(at) }); err != nil {
 		panic(err) // unreachable: deliverAt = now+WireDelay > now
 	}
 }

@@ -19,16 +19,23 @@ type BaseStation struct {
 	metrics *Metrics
 	rng     *sim.RNG
 
-	// Registration state.
+	// Registration state. users and gpsUsers are bitmasks over user
+	// IDs: the admitted IDs, and those of them in the GPS class; einOf
+	// holds each admitted ID's EIN.
 	registry map[frame.EIN]frame.UserID
-	einOf    map[frame.UserID]frame.EIN
-	isGPS    map[frame.UserID]bool
+	einOf    [userSpace]frame.EIN
+	users    uint64
+	gpsUsers uint64
 	gps      *GPSSlotTable
 
-	// Reverse-channel demand bookkeeping.
-	demand       map[frame.UserID]int
-	arrivalSeq   int
-	arrivalOrder map[frame.UserID]int
+	// Reverse-channel demand book, indexed by user ID. A user has
+	// demand exactly while demand[u] > 0 (addDemand only adds positive
+	// amounts, and slots are deducted one at a time); arrivalOrder[u] is
+	// the arrival sequence number of that demand, for FCFS.
+	demand       [userSpace]int32
+	arrivalOrder [userSpace]uint32
+	arrivalSeq   uint32
+	reqs         []sched.Request // pendingRequests' result, reused
 
 	// Dynamic contention-slot controller.
 	contentionSlots     int
@@ -41,7 +48,6 @@ type BaseStation struct {
 
 	// Per-cycle state.
 	layout     Layout
-	layouts    [2]Layout            // precomputed per-format slot timings
 	cf         *frame.ControlFields // announced schedule for the current cycle
 	prevAcks   [frame.ReverseACKEntries]frame.ReverseACK
 	curAcks    [frame.ReverseACKEntries]frame.ReverseACK
@@ -62,40 +68,68 @@ type BaseStation struct {
 	cfBlank    frame.ControlFields // all-unassigned template the buffers reset from
 	cf2Scratch frame.ControlFields
 
-	// Forward data queues.
+	// Forward data queues, and assignForward's reused request and
+	// transmit-interval lists.
 	fwdQueue map[frame.UserID][]*frame.DataPacket
+	fwdReqs  []sched.Request
+	fwdTx    []sched.TxInterval
 
 	// Uplink message reassembly: (user, msgID) → received fragment set.
-	asm map[uint32]*asmState
+	asm map[uint32]asmState
+
+	// Reception scratch: RecordReverse parses into rxPkt, whose bodies
+	// point at rxData, rxReg and rxRes; RecordGPS parses into rxGPS.
+	// Each stays valid until the next reception of its kind.
+	rxPkt  frame.Packet
+	rxData frame.DataPacket
+	rxReg  frame.RegistrationRequest
+	rxRes  frame.ReservationRequest
+	rxGPS  frame.GPSReport
 }
 
+// userSpace is the number of distinct 6-bit user IDs, the size of every
+// per-user table.
+const userSpace = 1 << frame.UserIDBits
+
+// asmState is one message's reassembly progress. FragTotal and Frag
+// are 8 bits on the wire, so a 256-bit mask covers every fragment index.
 type asmState struct {
-	total    int
-	received map[int]bool
-	bytes    int
+	received [4]uint64
+	bytes    int32 // payload bytes of the distinct fragments so far
+	total    uint8 // FragTotal of the first fragment seen
+	count    uint8 // distinct fragments so far; the message completes at total
+}
+
+// add records fragment frag carrying n payload bytes. It reports
+// whether the fragment was a duplicate and whether it completed the
+// message.
+func (st *asmState) add(frag uint8, n int) (dup, done bool) {
+	w, bit := frag>>6, uint64(1)<<(frag&63)
+	if st.received[w]&bit != 0 {
+		return true, false
+	}
+	st.received[w] |= bit
+	st.count++
+	st.bytes += int32(n)
+	return false, st.count == st.total
 }
 
 // NewBaseStation builds the cell controller.
 func NewBaseStation(cfg *Config, metrics *Metrics, rng *sim.RNG) *BaseStation {
 	return &BaseStation{
-		layouts:         [2]Layout{NewLayout(Format1), NewLayout(Format2)},
 		cfBlank:         *frame.NewControlFields(),
 		cfg:             cfg,
 		metrics:         metrics,
 		rng:             rng,
 		registry:        make(map[frame.EIN]frame.UserID),
-		einOf:           make(map[frame.UserID]frame.EIN),
-		isGPS:           make(map[frame.UserID]bool),
 		gps:             NewGPSSlotTable(cfg.DynamicSlotAdjustment),
-		demand:          make(map[frame.UserID]int),
-		arrivalOrder:    make(map[frame.UserID]int),
 		contentionSlots: cfg.MinContentionSlots,
 		prevLast:        -1,
 		cf2User:         frame.NoUser,
 		curLastTx:       frame.NoUser,
 		lastAssign:      frame.NoUser,
 		fwdQueue:        make(map[frame.UserID][]*frame.DataPacket),
-		asm:             make(map[uint32]*asmState),
+		asm:             make(map[uint32]asmState),
 		cf:              frame.NewControlFields(),
 	}
 }
@@ -104,6 +138,11 @@ func NewBaseStation(cfg *Config, metrics *Metrics, rng *sim.RNG) *BaseStation {
 func (b *BaseStation) Registered(ein frame.EIN) (frame.UserID, bool) {
 	u, ok := b.registry[ein]
 	return u, ok
+}
+
+// registered reports whether user holds an admitted ID.
+func (b *BaseStation) registered(user frame.UserID) bool {
+	return user.Valid() && b.users&(1<<user) != 0
 }
 
 // ActiveUsers returns the number of admitted subscribers.
@@ -128,39 +167,38 @@ func (b *BaseStation) Page(user frame.UserID) {
 // EnqueueForward queues an application message of the given size for
 // downlink delivery to user; it is fragmented into data packets.
 func (b *BaseStation) EnqueueForward(user frame.UserID, msgID uint16, size int) error {
-	if _, ok := b.einOf[user]; !ok {
+	if !b.registered(user) {
 		return fmt.Errorf("core: forward enqueue for unknown user %v", user)
 	}
-	frags := fragmentSizes(size)
-	for i, fs := range frags {
+	frags := fragmentCount(size)
+	for i := 0; i < frags; i++ {
 		b.fwdQueue[user] = append(b.fwdQueue[user], &frame.DataPacket{
 			Header: frame.DataHeader{
 				User:      user,
 				MsgID:     msgID,
 				Frag:      uint8(i),
-				FragTotal: uint8(len(frags)),
+				FragTotal: uint8(frags),
 			},
-			Payload: make([]byte, fs),
+			Payload: make([]byte, fragmentSize(size, i)),
 		})
 	}
 	return nil
 }
 
-// fragmentSizes splits an application message into MAC payload sizes.
-func fragmentSizes(size int) []int {
+// fragmentCount returns how many MAC payloads carry an application
+// message of size bytes: full payloads and a shorter tail, or one empty
+// payload when size ≤ 0.
+func fragmentCount(size int) int {
 	if size <= 0 {
-		return []int{0}
+		return 1
 	}
-	var out []int
-	for size > 0 {
-		n := size
-		if n > frame.MaxPayload {
-			n = frame.MaxPayload
-		}
-		out = append(out, n)
-		size -= n
-	}
-	return out
+	return (size + frame.MaxPayload - 1) / frame.MaxPayload
+}
+
+// fragmentSize returns the payload size of fragment i of a size-byte
+// message.
+func fragmentSize(size, i int) int {
+	return max(0, min(frame.MaxPayload, size-i*frame.MaxPayload))
 }
 
 // BeginCycle computes the schedule for cycle k and the CF1 contents.
@@ -214,7 +252,7 @@ func (b *BaseStation) BeginCycle() {
 	if b.cfg.DynamicSlotAdjustment {
 		format = b.gps.Format()
 	}
-	b.layout = b.layouts[int(format)-1]
+	b.layout = layoutOf(format)
 	d := format.DataSlots()
 
 	// Flip the control-field double buffer (see the field comment for why
@@ -264,13 +302,8 @@ func (b *BaseStation) BeginCycle() {
 	b.fixCF2UserEarlySlots(cf, d)
 	// Deduct granted slots from demand.
 	for i := 0; i < d; i++ {
-		u := cf.ReverseSchedule[i]
-		if u != frame.NoUser && b.demand[u] > 0 {
+		if u := cf.ReverseSchedule[i]; u.Valid() && b.demand[u] > 0 {
 			b.demand[u]--
-			if b.demand[u] == 0 {
-				delete(b.demand, u)
-				delete(b.arrivalOrder, u)
-			}
 		}
 	}
 
@@ -348,38 +381,37 @@ func (b *BaseStation) assignForward(cf *frame.ControlFields, d int) [frame.Forwa
 	for i := range out {
 		out[i] = frame.NoUser
 	}
-	var demands []sched.Request
+	demands := b.fwdReqs[:0]
 	for u, q := range b.fwdQueue {
 		if len(q) > 0 {
-			demands = append(demands, sched.Request{User: u, Slots: len(q), Arrival: b.arrivalOrder[u]})
+			demands = append(demands, sched.Request{User: u, Slots: len(q)})
 		}
 	}
+	b.fwdReqs = demands
 	if len(demands) == 0 {
 		return out
 	}
-	tx := make(map[frame.UserID][]phy.Interval)
+	tx := b.fwdTx[:0]
 	for i := 0; i < d; i++ {
-		u := cf.ReverseSchedule[i]
-		if u != frame.NoUser {
-			tx[u] = append(tx[u], b.layout.ReverseData[i])
+		if u := cf.ReverseSchedule[i]; u != frame.NoUser {
+			tx = append(tx, sched.TxInterval{User: u, Interval: b.layout.ReverseData[i]})
 		}
 	}
 	for i, iv := range b.layout.GPS {
-		u := cf.GPSSchedule[i]
-		if u != frame.NoUser {
-			tx[u] = append(tx[u], iv)
+		if u := cf.GPSSchedule[i]; u != frame.NoUser {
+			tx = append(tx, sched.TxInterval{User: u, Interval: iv})
 		}
 	}
+	b.fwdTx = tx
 	cf2 := frame.NoUser
 	if b.cfg.SecondControlField {
 		cf2 = b.cf2User
 	}
-	assigned := sched.AssignForward(demands, sched.ForwardConstraints{
+	sched.AssignForward(out[:0], demands, sched.ForwardConstraints{
 		SlotIntervals: b.layout.ForwardData,
 		TxIntervals:   tx,
 		CF2User:       cf2,
 	})
-	copy(out[:], assigned)
 	return out
 }
 
@@ -456,12 +488,16 @@ func scheduleHas(sched [frame.GPSScheduleEntries]frame.UserID, user frame.UserID
 	return false
 }
 
-// pendingRequests converts the demand book into scheduler requests.
+// pendingRequests converts the demand book into scheduler requests, in
+// user-ID order. The result is reused by the next call.
 func (b *BaseStation) pendingRequests() []sched.Request {
-	var out []sched.Request
+	out := b.reqs[:0]
 	for u, n := range b.demand {
-		out = append(out, sched.Request{User: u, Slots: n, Arrival: b.arrivalOrder[u]})
+		if n > 0 {
+			out = append(out, sched.Request{User: frame.UserID(u), Slots: int(n), Arrival: int(b.arrivalOrder[u])})
+		}
 	}
+	b.reqs = out
 	return out
 }
 
@@ -470,11 +506,11 @@ func (b *BaseStation) addDemand(user frame.UserID, n int) {
 	if n <= 0 || !user.Valid() {
 		return
 	}
-	if _, ok := b.demand[user]; !ok {
+	if b.demand[user] == 0 {
 		b.arrivalOrder[user] = b.arrivalSeq
 		b.arrivalSeq++
 	}
-	b.demand[user] += n
+	b.demand[user] += int32(n)
 }
 
 // ReverseOutcome summarizes what the base received in one reverse data
@@ -482,7 +518,9 @@ func (b *BaseStation) addDemand(user frame.UserID, n int) {
 type ReverseOutcome struct {
 	// Collision is true when ≥2 stations transmitted.
 	Collision bool
-	// Received is the successfully decoded packet, nil on loss/idle.
+	// Received is the successfully decoded packet, nil on loss/idle. It
+	// is the base station's scratch: valid only until the next
+	// reception.
 	Received *frame.Packet
 	// MessageComplete is set when a data fragment completed an uplink
 	// message reassembly; Bytes is its total payload size.
@@ -525,14 +563,14 @@ func (b *BaseStation) RecordReverse(slot int, intoPrev bool, isLastSlot bool, pa
 		}
 		return ReverseOutcome{}
 	}
-	pkt, err := frame.UnmarshalPacket(payload)
-	if err != nil {
+	b.rxPkt = frame.Packet{Data: &b.rxData, Register: &b.rxReg, Reservation: &b.rxRes}
+	if err := frame.UnmarshalPacketInto(&b.rxPkt, payload); err != nil {
 		if !contention {
 			b.metrics.FragmentsLost.Inc()
 		}
 		return ReverseOutcome{}
 	}
-	return b.recordPacket(slot, intoPrev, isLastSlot, pkt, contention)
+	return b.recordPacket(slot, intoPrev, isLastSlot, &b.rxPkt, contention)
 }
 
 // recordPacket applies a successfully decoded reverse-slot packet: the
@@ -551,7 +589,7 @@ func (b *BaseStation) recordPacket(slot int, intoPrev bool, isLastSlot bool, pkt
 	switch pkt.Type {
 	case frame.TypeData:
 		h := pkt.Data.Header
-		if _, known := b.einOf[h.User]; !known {
+		if !b.registered(h.User) {
 			return out // stale packet from a deregistered user
 		}
 		if contention {
@@ -583,7 +621,7 @@ func (b *BaseStation) recordPacket(slot int, intoPrev bool, isLastSlot bool, pkt
 		}
 	case frame.TypeReservation:
 		r := pkt.Reservation
-		if _, known := b.einOf[r.User]; !known {
+		if !b.registered(r.User) {
 			return out
 		}
 		acks[slot] = frame.ReverseACK{User: r.User}
@@ -629,7 +667,7 @@ func (b *BaseStation) admit(req *frame.RegistrationRequest) (frame.UserID, bool)
 	}
 	var user frame.UserID = frame.NoUser
 	for id := frame.UserID(0); id <= frame.MaxUserID; id++ {
-		if _, taken := b.einOf[id]; !taken {
+		if !b.registered(id) {
 			user = id
 			break
 		}
@@ -644,46 +682,48 @@ func (b *BaseStation) admit(req *frame.RegistrationRequest) (frame.UserID, bool)
 	}
 	b.registry[req.EIN] = user
 	b.einOf[user] = req.EIN
-	b.isGPS[user] = req.WantGPS
+	b.users |= 1 << user
+	if req.WantGPS {
+		b.gpsUsers |= 1 << user
+	}
 	return user, true
 }
 
 // Deregister administratively removes a subscriber (sign-off). GPS slot
 // holders release their slot via the dynamic adjustment rules.
 func (b *BaseStation) Deregister(user frame.UserID) error {
-	ein, ok := b.einOf[user]
-	if !ok {
+	if !b.registered(user) {
 		return fmt.Errorf("core: deregister unknown user %v", user)
 	}
-	if b.isGPS[user] {
+	if b.gpsUsers&(1<<user) != 0 {
 		if err := b.gps.Leave(user); err != nil {
 			return err
 		}
 	}
-	delete(b.registry, ein)
-	delete(b.einOf, user)
-	delete(b.isGPS, user)
-	delete(b.demand, user)
-	delete(b.arrivalOrder, user)
+	delete(b.registry, b.einOf[user])
+	b.einOf[user] = 0
+	b.users &^= 1 << user
+	b.gpsUsers &^= 1 << user
+	b.demand[user] = 0
 	delete(b.fwdQueue, user)
 	return nil
 }
 
 // RecordGPS processes a GPS slot reception. body is the received
-// 32-byte packet body, nil if the slot was idle.
+// 32-byte packet body, nil if the slot was idle. The returned report is
+// the base station's scratch, valid until the next RecordGPS call.
 func (b *BaseStation) RecordGPS(body []byte) (*frame.GPSReport, bool) {
 	if body == nil {
 		return nil, false
 	}
-	rep, err := frame.UnmarshalGPSReport(body)
-	if err != nil {
+	if err := frame.UnmarshalGPSReportInto(&b.rxGPS, body); err != nil {
 		b.metrics.GPSLost.Inc()
 		return nil, false
 	}
-	if !b.RecordGPSDirect(rep) {
+	if !b.RecordGPSDirect(&b.rxGPS) {
 		return nil, false
 	}
-	return rep, true
+	return &b.rxGPS, true
 }
 
 // RecordGPSDirect applies an already-decoded GPS report: the
@@ -728,19 +768,17 @@ func (b *BaseStation) reassemble(h frame.DataHeader, payloadLen int) (dup, done 
 	key := uint32(h.User)<<16 | uint32(h.MsgID)
 	st, ok := b.asm[key]
 	if !ok {
-		//lint:ignore hotpathalloc one amortized allocation per uplink message, paid identically by both engines; the idle steady state never reaches it
-		st = &asmState{total: int(h.FragTotal), received: make(map[int]bool)}
-		b.asm[key] = st
+		st = asmState{total: h.FragTotal}
 	}
-	if st.received[int(h.Frag)] {
+	dup, done = st.add(h.Frag, payloadLen)
+	switch {
+	case dup:
 		return true, false, 0
-	}
-	st.received[int(h.Frag)] = true
-	st.bytes += payloadLen
-	if len(st.received) == st.total {
+	case done:
 		delete(b.asm, key)
-		return false, true, st.bytes
+		return false, true, int(st.bytes)
 	}
+	b.asm[key] = st
 	return false, false, 0
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/osu-netlab/osumac/internal/frame"
@@ -311,14 +312,12 @@ func TestBaseFragmentationSizes(t *testing.T) {
 		{120, []int{41, 41, 38}},
 	}
 	for _, c := range cases {
-		got := fragmentSizes(c.size)
-		if len(got) != len(c.want) {
-			t.Fatalf("fragmentSizes(%d) = %v, want %v", c.size, got, c.want)
+		got := make([]int, fragmentCount(c.size))
+		for i := range got {
+			got[i] = fragmentSize(c.size, i)
 		}
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Fatalf("fragmentSizes(%d) = %v, want %v", c.size, got, c.want)
-			}
+		if !slices.Equal(got, c.want) {
+			t.Fatalf("fragments of %d bytes = %v, want %v", c.size, got, c.want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/frame"
@@ -60,11 +61,18 @@ type cycleTemplate struct {
 const maxTemplateActions = 2 + frame.GPSScheduleEntries +
 	frame.ReverseScheduleEntries + frame.ForwardScheduleEntries
 
+// sharedTemplates holds the two reverse formats' cycle templates,
+// compiled once per process. Executors only read them, so cells on
+// different workers share them safely.
+var sharedTemplates = sync.OnceValue(func() *[2]*cycleTemplate {
+	return &[2]*cycleTemplate{buildTemplate(Format1), buildTemplate(Format2)}
+})
+
 // buildTemplate compiles one reverse format's slot layout into an
 // action table. It mirrors beginCycle's scheduling order exactly: CF1,
 // CF2, GPS slots, reverse data slots, forward slots.
 func buildTemplate(format ReverseFormat) *cycleTemplate {
-	layout := NewLayout(format)
+	layout := layoutOf(format)
 	t := &cycleTemplate{format: format}
 	t.sched = append(t.sched,
 		templAction{op: opCF1, slot: -1, at: layout.CF1.End, pri: sim.PriorityDeliver},
@@ -137,14 +145,12 @@ func (ci *compiledInstance) advance() {
 }
 
 // compiledSource feeds compiled cycles into the kernel's main loop as a
-// sim.ActionSource. Templates are cached per reverse format and
-// invalidated only by the format switching (the switch cycle itself
-// runs slow).
+// sim.ActionSource. It runs each cycle off the process-wide template of
+// its reverse format; a cycle that switches format runs slow, and
+// counts as a recompile.
 type compiledSource struct {
 	n          *Network
 	inst       [2]compiledInstance
-	tmplF1     *cycleTemplate
-	tmplF2     *cycleTemplate
 	lastFormat ReverseFormat
 }
 
@@ -154,21 +160,6 @@ var _ sim.ActionSource = (*compiledSource)(nil)
 // to the kernel.
 func newCompiledSource(n *Network) *compiledSource {
 	return &compiledSource{n: n}
-}
-
-// templateFor returns the cached template for a format, compiling it on
-// first use.
-func (cs *compiledSource) templateFor(f ReverseFormat) *cycleTemplate {
-	if f == Format1 {
-		if cs.tmplF1 == nil {
-			cs.tmplF1 = buildTemplate(Format1)
-		}
-		return cs.tmplF1
-	}
-	if cs.tmplF2 == nil {
-		cs.tmplF2 = buildTemplate(Format2)
-	}
-	return cs.tmplF2
 }
 
 // activate binds a free instance to cycle k and reserves its kernel
@@ -208,7 +199,7 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 		n.metrics.CompiledFallbacks.Inc()
 	}
 
-	ci.tmpl = cs.templateFor(layout.Format)
+	ci.tmpl = sharedTemplates()[layout.Format-1]
 	ci.cycle = k
 	ci.t0 = t0
 	ci.layout = layout

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/phy"
@@ -116,6 +117,17 @@ func NewLayout(format ReverseFormat) Layout {
 	}
 	return l
 }
+
+// sharedLayouts holds the two reverse formats' layouts, built once per
+// process. Every cell reads them and none writes them, so cells on
+// different workers share the slices safely.
+var sharedLayouts = sync.OnceValue(func() *[2]Layout {
+	return &[2]Layout{NewLayout(Format1), NewLayout(Format2)}
+})
+
+// layoutOf returns the process-wide layout of a reverse format. Its
+// slices are shared and must not be modified.
+func layoutOf(f ReverseFormat) Layout { return sharedLayouts()[f-1] }
 
 // LastDataSlot returns the index of the last reverse data slot, whose
 // transmission overlaps the next cycle's CF1.

@@ -91,6 +91,12 @@ type Network struct {
 	scratchPkt     frame.Packet
 	scratchGPS     frame.GPSReport
 	scratchPayload [frame.MaxPayload]byte
+
+	// fwdPkt and fwdData receive the forward packet a subscriber decodes
+	// in forwardSlotEnd; like the scratch above, they are consumed
+	// within the handler.
+	fwdPkt  frame.Packet
+	fwdData frame.DataPacket
 }
 
 // slotTx is one transmission in a reverse data slot: the sender and its
@@ -328,7 +334,7 @@ func (n *Network) ScheduleCycles(cycles int, start time.Duration) error {
 	for k := 0; k < cycles; k++ {
 		k := k
 		at := start + time.Duration(k)*phy.CycleLength
-		if _, err := n.sim.At(at, sim.PriorityNormal, func() { n.beginCycle(base + k) }); err != nil {
+		if err := n.sim.At(at, sim.PriorityNormal, func() { n.beginCycle(base + k) }); err != nil {
 			return err
 		}
 	}
@@ -684,9 +690,10 @@ func (n *Network) dataSlotEnd(cycle, slot int, isLast, contention bool) {
 	// belongs to the previous ACK window.
 	intoPrev := cycle != n.cycle-1
 
-	// Scheduled packets marshal into the slot's share of infoBuf and
-	// decode into decBuf; RecordReverse parses the surviving payload
-	// into a packet of its own, so neither buffer outlives this slot.
+	// Scheduled and contention packets marshal into the slot's share of
+	// infoBuf and decode into decBuf; RecordReverse parses the surviving
+	// payload into the base station's scratch, so neither buffer
+	// outlives this slot.
 	txs := n.slotTxs[:0]
 	infos := n.infoBuf[:0]
 	for _, e := range n.subs {
@@ -706,9 +713,10 @@ func (n *Network) dataSlotEnd(cycle, slot int, isLast, contention bool) {
 			}
 		}
 		if e.plan.ContentionSlot == slot {
-			info, err := e.sub.MakeContentionPacket()
-			if err == nil && info != nil {
-				txs = append(txs, slotTx{e: e, info: info})
+			off := len(infos)
+			if grown, err := e.sub.MakeContentionPacket(infos); err == nil && len(grown) > off {
+				infos = grown
+				txs = append(txs, slotTx{e: e, info: infos[off:]})
 				if n.tracing() {
 					n.trace(EventContentionTx, e.sub.ID(), slot, e.plan.ContentionKind.String())
 				}
@@ -851,17 +859,17 @@ func (n *Network) forwardSlotEnd(slot int, user frame.UserID) {
 		return
 	}
 	n.decBuf = decoded
-	// UnmarshalPacket copies the payload, so parsed does not alias
-	// decBuf.
-	parsed, err := frame.UnmarshalPacket(decoded)
-	if err != nil || parsed.Type != frame.TypeData {
+	// Only a data packet has storage to parse into: anything else fails.
+	n.fwdPkt = frame.Packet{Data: &n.fwdData}
+	if err := frame.UnmarshalPacketInto(&n.fwdPkt, decoded); err != nil {
 		return
 	}
+	parsed := n.fwdPkt.Data
 	n.metrics.ForwardPktsDelivered.Inc()
 	if n.tracing() {
-		n.traceD(EventForwardTx, user, slot, DetailForwardFrag, int64(parsed.Data.Header.MsgID), int64(parsed.Data.Header.Frag), 0)
+		n.traceD(EventForwardTx, user, slot, DetailForwardFrag, int64(parsed.Header.MsgID), int64(parsed.Header.Frag), 0)
 	}
-	if done, msgID, _ := e.sub.ReceiveForward(parsed.Data); done {
+	if done, msgID, _ := e.sub.ReceiveForward(parsed); done {
 		delete(n.fwdMeta, fwdKey(user, msgID))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"github.com/osu-netlab/osumac/internal/frame"
@@ -33,29 +34,83 @@ func (s SubscriberState) String() string {
 	}
 }
 
-// fragment is one queued MAC payload of an application message.
+// fragment is one queued MAC payload of an application message. Its
+// fields have their on-air widths: index and total are the header's
+// 8-bit Frag and FragTotal, and size is at most frame.MaxPayload.
 type fragment struct {
-	msgID     uint16
-	index     int
-	total     int
-	size      int
-	createdAt time.Duration
+	msgID uint16
+	index uint8
+	total uint8
+	size  uint8
+}
+
+// fragQueue is a FIFO of fragments that can also take a fragment back
+// at its head, where a retransmission goes. It is a ring whose length
+// is a power of two (or zero); it grows by doubling, so a subscriber
+// allocates only when its backlog reaches a new high.
+type fragQueue struct {
+	ring []fragment
+	head int
+	n    int
+}
+
+func (q *fragQueue) len() int { return q.n }
+
+// reset empties the queue, keeping its storage.
+func (q *fragQueue) reset() { q.head, q.n = 0, 0 }
+
+func (q *fragQueue) pushBack(f fragment) {
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = f
+	q.n++
+}
+
+func (q *fragQueue) pushFront(f fragment) {
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.ring) - 1)
+	q.ring[q.head] = f
+	q.n++
+}
+
+func (q *fragQueue) popFront() (fragment, bool) {
+	if q.n == 0 {
+		return fragment{}, false
+	}
+	f := q.ring[q.head]
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return f, true
+}
+
+// grow doubles the ring (to 8 entries at first), unrolling it so the
+// head lands at index 0.
+func (q *fragQueue) grow() {
+	size := max(8, 2*len(q.ring))
+	grown := slices.Grow(q.ring[:0:0], size)
+	grown = append(grown, q.ring[q.head:]...)
+	grown = append(grown, q.ring[:q.head]...)
+	q.ring, q.head = grown[:size], 0
 }
 
 // contentionRecord remembers a contention-slot transmission awaiting its
-// ACK.
+// ACK. kind is zero when none is outstanding.
 type contentionRecord struct {
-	slot     int
 	kind     frame.PacketType
-	frag     *fragment // for data-in-contention
-	more     int       // piggybacked request
-	reqSlots int       // explicit reservation size
+	slot     int
+	frag     fragment // for data-in-contention
+	more     uint8    // piggybacked request
+	reqSlots uint8    // explicit reservation size
 }
 
 // slotRecord remembers a scheduled data-slot transmission awaiting ACK.
 type slotRecord struct {
-	frag *fragment
-	more int
+	frag fragment
+	more uint8
+	sent bool
 }
 
 // Subscriber is one mobile unit's MAC state machine. All methods run in
@@ -78,7 +133,7 @@ type Subscriber struct {
 	regGaveUp     bool
 
 	// Data queue.
-	pending   []*fragment
+	pending   fragQueue
 	nextMsgID uint16
 
 	// Reservation bookkeeping.
@@ -91,17 +146,18 @@ type Subscriber struct {
 	// Listening rule (paper §3.4 problem 2).
 	listenCF2 bool
 
-	// In-flight transmissions awaiting next cycle's ACKs.
-	sentSlots   map[int]slotRecord
-	sentContend *contentionRecord
+	// In-flight transmissions awaiting next cycle's ACKs, by reverse
+	// data slot.
+	sentSlots   [frame.ReverseScheduleEntries]slotRecord
+	sentContend contentionRecord
 
 	// GPS report pending transmission.
 	gpsArrival time.Duration
 	gpsSeq     uint16
 	gpsHave    bool
 
-	// Downlink reassembly.
-	asm map[uint16]*asmState
+	// Downlink reassembly, by message ID.
+	asm map[uint16]asmState
 
 	// Pages observed (paper's paging field).
 	PagesSeen int
@@ -118,14 +174,13 @@ type Subscriber struct {
 // NewSubscriber builds a subscriber in the Idle state.
 func NewSubscriber(ein frame.EIN, isGPS bool, cfg *Config, rng *sim.RNG) *Subscriber {
 	return &Subscriber{
-		EIN:       ein,
-		IsGPS:     isGPS,
-		cfg:       cfg,
-		rng:       rng,
-		state:     StateIdle,
-		id:        frame.NoUser,
-		sentSlots: make(map[int]slotRecord),
-		asm:       make(map[uint16]*asmState),
+		EIN:   ein,
+		IsGPS: isGPS,
+		cfg:   cfg,
+		rng:   rng,
+		state: StateIdle,
+		id:    frame.NoUser,
+		asm:   make(map[uint16]asmState),
 	}
 }
 
@@ -136,7 +191,7 @@ func (s *Subscriber) State() SubscriberState { return s.state }
 func (s *Subscriber) ID() frame.UserID { return s.id }
 
 // QueueLen returns the number of fragments awaiting transmission.
-func (s *Subscriber) QueueLen() int { return len(s.pending) }
+func (s *Subscriber) QueueLen() int { return s.pending.len() }
 
 // NextMsgID returns the message ID the next AddMessage call will use.
 func (s *Subscriber) NextMsgID() uint16 { return s.nextMsgID }
@@ -165,10 +220,10 @@ func (s *Subscriber) Enter(cycle int) {
 func (s *Subscriber) Deactivate() {
 	s.state = StateIdle
 	s.id = frame.NoUser
-	s.pending = nil
+	s.pending.reset()
 	s.requestedOutstanding = 0
-	s.sentSlots = make(map[int]slotRecord)
-	s.sentContend = nil
+	s.sentSlots = [frame.ReverseScheduleEntries]slotRecord{}
+	s.sentContend = contentionRecord{}
 	s.listenCF2 = false
 	s.gpsHave = false
 	s.hasNeed = false
@@ -177,19 +232,18 @@ func (s *Subscriber) Deactivate() {
 // AddMessage enqueues an application message, fragmenting it. It
 // reports false when the queue cap drops the message (buffer overflow).
 func (s *Subscriber) AddMessage(size int, now time.Duration) bool {
-	sizes := fragmentSizes(size)
-	if len(s.pending)+len(sizes) > s.cfg.QueueCapFragments {
+	frags := fragmentCount(size)
+	if s.pending.len()+frags > s.cfg.QueueCapFragments {
 		return false
 	}
 	id := s.nextMsgID
 	s.nextMsgID++
-	for i, fs := range sizes {
-		s.pending = append(s.pending, &fragment{
-			msgID:     id,
-			index:     i,
-			total:     len(sizes),
-			size:      fs,
-			createdAt: now,
+	for i := 0; i < frags; i++ {
+		s.pending.pushBack(fragment{
+			msgID: id,
+			index: uint8(i),
+			total: uint8(frags),
+			size:  uint8(fragmentSize(size, i)),
 		})
 	}
 	if !s.hasNeed && s.unrequested() > 0 {
@@ -211,7 +265,7 @@ func (s *Subscriber) AddGPSReport(now time.Duration) bool {
 
 // unrequested returns the demand not yet signalled to the base station.
 func (s *Subscriber) unrequested() int {
-	n := len(s.pending) - s.requestedOutstanding
+	n := s.pending.len() - s.requestedOutstanding
 	if n < 0 {
 		return 0
 	}
@@ -276,7 +330,7 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 			s.regAttempts++
 			plan.ContentionSlot = slot
 			plan.ContentionKind = frame.TypeRegistration
-			s.sentContend = &contentionRecord{slot: slot, kind: frame.TypeRegistration}
+			s.sentContend = contentionRecord{slot: slot, kind: frame.TypeRegistration}
 			if slot == layout.LastDataSlot() && s.cfg.SecondControlField {
 				s.listenCF2 = true
 			}
@@ -323,14 +377,14 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 		s.backoffCycles--
 		return plan
 	}
-	if len(plan.DataSlots) == 0 && s.unrequested() > 0 && s.sentContend == nil {
+	if len(plan.DataSlots) == 0 && s.unrequested() > 0 && s.sentContend.kind == 0 {
 		slot := s.pickContentionSlot(cf, layout, wasCF2)
 		if slot >= 0 {
 			plan.ContentionSlot = slot
-			rec := &contentionRecord{slot: slot}
+			rec := contentionRecord{slot: slot}
 			switch s.cfg.Policy {
 			case ReserveWithData:
-				if f := s.popFragment(); f != nil {
+				if f, ok := s.pending.popFront(); ok {
 					rec.kind = frame.TypeData
 					rec.frag = f
 					rec.more = s.clampMore(s.unrequested())
@@ -357,7 +411,7 @@ func (s *Subscriber) OnControlFields(cf *frame.ControlFields, layout Layout, now
 		if slot := s.pickContentionSlot(cf, layout, wasCF2); slot >= 0 {
 			plan.ContentionSlot = slot
 			plan.ContentionKind = frame.TypeReservation
-			s.sentContend = &contentionRecord{slot: slot, kind: frame.TypeReservation, reqSlots: 0}
+			s.sentContend = contentionRecord{slot: slot, kind: frame.TypeReservation, reqSlots: 0}
 			if slot == layout.LastDataSlot() && s.cfg.SecondControlField {
 				s.listenCF2 = true
 			}
@@ -382,24 +436,24 @@ func (s *Subscriber) resolveAcks(cf *frame.ControlFields) {
 	// Scheduled data slots, in ascending slot order: requeue order must
 	// be deterministic (map iteration order would randomize which lost
 	// fragment retransmits first when a cycle loses several slots).
-	for slot := 0; slot < frame.ReverseScheduleEntries; slot++ {
-		rec, ok := s.sentSlots[slot]
-		if !ok {
+	for slot := range s.sentSlots {
+		rec := &s.sentSlots[slot]
+		if !rec.sent {
 			continue
 		}
 		acked := cf != nil && slot < len(cf.ReverseACKs) && cf.ReverseACKs[slot].User == s.id
 		if acked {
-			s.requestedOutstanding += rec.more
+			s.requestedOutstanding += int(rec.more)
 		} else {
 			// Lost: requeue the fragment for retransmission.
-			s.requeue(rec.frag)
+			s.pending.pushFront(rec.frag)
 		}
-		delete(s.sentSlots, slot)
+		rec.sent = false
 	}
 
 	// Contention transmission.
-	if rec := s.sentContend; rec != nil {
-		s.sentContend = nil
+	if rec := s.sentContend; rec.kind != 0 {
+		s.sentContend = contentionRecord{}
 		var ack frame.ReverseACK
 		ok := cf != nil && rec.slot < len(cf.ReverseACKs)
 		if ok {
@@ -414,7 +468,7 @@ func (s *Subscriber) resolveAcks(cf *frame.ControlFields) {
 			// Registrants persist without backoff (paper §3.2).
 		case frame.TypeReservation:
 			if ok && ack.User == s.id {
-				s.requestedOutstanding += rec.reqSlots
+				s.requestedOutstanding += int(rec.reqSlots)
 				s.contFailures = 0
 			} else {
 				s.contFailures++
@@ -422,10 +476,10 @@ func (s *Subscriber) resolveAcks(cf *frame.ControlFields) {
 			}
 		case frame.TypeData:
 			if ok && ack.User == s.id {
-				s.requestedOutstanding += rec.more
+				s.requestedOutstanding += int(rec.more)
 				s.contFailures = 0
 			} else {
-				s.requeue(rec.frag)
+				s.pending.pushFront(rec.frag)
 				// Data senders back off longer (paper §3.1).
 				s.contFailures++
 				s.backoffCycles = s.rng.UniformInt(1, s.spread(2*s.cfg.ReservationBackoffCycles))
@@ -477,49 +531,50 @@ func (s *Subscriber) MakeDataPacket(slot int) *frame.DataPacket {
 // zeroed buffer of at least frame.MaxPayload bytes. It reports false
 // when the queue is empty.
 func (s *Subscriber) MakeDataPacketInto(slot int, pkt *frame.DataPacket, payload []byte) bool {
-	f := s.popFragment()
-	if f == nil {
+	f, ok := s.pending.popFront()
+	if !ok {
 		return false
 	}
 	more := s.clampMore(s.unrequested())
-	s.sentSlots[slot] = slotRecord{frag: f, more: more}
+	s.sentSlots[slot] = slotRecord{frag: f, more: more, sent: true}
 	pkt.Header = frame.DataHeader{
 		User:      s.id,
-		MoreSlots: uint8(more),
+		MoreSlots: more,
 		MsgID:     f.msgID,
-		Frag:      uint8(f.index),
-		FragTotal: uint8(f.total),
+		Frag:      f.index,
+		FragTotal: f.total,
 	}
 	pkt.Payload = payload[:f.size]
 	return true
 }
 
-// MakeContentionPacket builds the packet for the planned contention
-// transmission.
-func (s *Subscriber) MakeContentionPacket() ([]byte, error) {
-	rec := s.sentContend
-	if rec == nil {
-		return nil, nil
-	}
+// MakeContentionPacket appends the 48 information bytes of the planned
+// contention transmission to dst and returns the extended slice. It
+// returns dst unchanged when no contention transmission is planned.
+func (s *Subscriber) MakeContentionPacket(dst []byte) ([]byte, error) {
+	rec := &s.sentContend
 	switch rec.kind {
 	case frame.TypeRegistration:
-		return (&frame.RegistrationRequest{EIN: s.EIN, WantGPS: s.IsGPS}).Marshal()
+		req := frame.RegistrationRequest{EIN: s.EIN, WantGPS: s.IsGPS}
+		return req.MarshalTo(dst)
 	case frame.TypeReservation:
-		return (&frame.ReservationRequest{User: s.id, Slots: uint8(rec.reqSlots)}).Marshal()
+		req := frame.ReservationRequest{User: s.id, Slots: rec.reqSlots}
+		return req.MarshalTo(dst)
 	case frame.TypeData:
-		f := rec.frag
-		return (&frame.DataPacket{
+		var zeros [frame.MaxPayload]byte // the simulated payload bytes
+		pkt := frame.DataPacket{
 			Header: frame.DataHeader{
 				User:      s.id,
-				MoreSlots: uint8(rec.more),
-				MsgID:     f.msgID,
-				Frag:      uint8(f.index),
-				FragTotal: uint8(f.total),
+				MoreSlots: rec.more,
+				MsgID:     rec.frag.msgID,
+				Frag:      rec.frag.index,
+				FragTotal: rec.frag.total,
 			},
-			Payload: make([]byte, f.size),
-		}).Marshal()
+			Payload: zeros[:rec.frag.size],
+		}
+		return pkt.MarshalTo(dst)
 	default:
-		return nil, nil
+		return dst, nil
 	}
 }
 
@@ -567,19 +622,17 @@ func (s *Subscriber) ReceiveForward(p *frame.DataPacket) (bool, uint16, int) {
 	}
 	st, ok := s.asm[h.MsgID]
 	if !ok {
-		//lint:ignore hotpathalloc one amortized allocation per downlink message, paid identically by both engines; the idle steady state never reaches it
-		st = &asmState{total: int(h.FragTotal), received: make(map[int]bool)}
-		s.asm[h.MsgID] = st
+		st = asmState{total: h.FragTotal}
 	}
-	if st.received[int(h.Frag)] {
+	dup, done := st.add(h.Frag, len(p.Payload))
+	switch {
+	case dup:
 		return false, 0, 0
-	}
-	st.received[int(h.Frag)] = true
-	st.bytes += len(p.Payload)
-	if len(st.received) == st.total {
+	case done:
 		delete(s.asm, h.MsgID)
-		return true, h.MsgID, st.bytes
+		return true, h.MsgID, int(st.bytes)
 	}
+	s.asm[h.MsgID] = st
 	return false, 0, 0
 }
 
@@ -601,22 +654,6 @@ func (s *Subscriber) RegistrationCycles(cycle int) int {
 	return cycle - s.regFirstCycle + 1
 }
 
-func (s *Subscriber) popFragment() *fragment {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	f := s.pending[0]
-	s.pending = s.pending[1:]
-	return f
-}
-
-func (s *Subscriber) requeue(f *fragment) {
-	if f == nil {
-		return
-	}
-	s.pending = append([]*fragment{f}, s.pending...)
-}
-
 // spread widens the backoff window exponentially with consecutive
 // contention failures, de-synchronizing repeat colliders.
 func (s *Subscriber) spread(base int) int {
@@ -630,14 +667,9 @@ func (s *Subscriber) spread(base int) int {
 	return base << uint(shift)
 }
 
-func (s *Subscriber) clampMore(n int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > frame.MaxMoreSlots {
-		return frame.MaxMoreSlots
-	}
-	return n
+// clampMore bounds a slot request to the header's 4-bit MoreSlots field.
+func (s *Subscriber) clampMore(n int) uint8 {
+	return uint8(max(0, min(frame.MaxMoreSlots, n)))
 }
 
 // switchGuard returns the radio turnaround time.

@@ -216,7 +216,7 @@ func TestSubscriberContentionAndBackoff(t *testing.T) {
 	if plan.ContentionSlot < 0 || plan.ContentionKind != frame.TypeReservation {
 		t.Fatalf("plan = %+v", plan)
 	}
-	payload, err := s.MakeContentionPacket()
+	payload, err := s.MakeContentionPacket(nil)
 	if err != nil || payload == nil {
 		t.Fatalf("contention packet: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestSubscriberDataInContentionPolicy(t *testing.T) {
 	if plan.ContentionKind != frame.TypeData {
 		t.Fatalf("kind = %v, want data", plan.ContentionKind)
 	}
-	payload, err := s.MakeContentionPacket()
+	payload, err := s.MakeContentionPacket(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package frame
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +112,121 @@ func FuzzUnmarshalPacket(f *testing.F) {
 		}
 		if _, err := UnmarshalPacket(back); err != nil {
 			t.Fatalf("round-tripped packet failed to parse: %v", err)
+		}
+	})
+}
+
+// FuzzUnmarshalPacketInto checks the allocation-free packet parser
+// against the bitio.Reader reference on any input: both accept and
+// reject the same bytes, with the same error class, and accepted bytes
+// parse to equal packets. The storage it fills starts dirty, so a field
+// the parser forgets to set shows up as a mismatch.
+func FuzzUnmarshalPacketInto(f *testing.F) {
+	for _, p := range []interface{ Marshal() ([]byte, error) }{
+		&DataPacket{Header: DataHeader{User: 5, MoreSlots: 2, MsgID: 777, Frag: 1, FragTotal: 3}, Payload: []byte("osu-mac")},
+		&DataPacket{Header: DataHeader{User: 62, MsgID: 1}, Payload: make([]byte, MaxPayload)},
+		&DataPacket{Header: DataHeader{User: 1}},
+		&RegistrationRequest{EIN: 0xBEEF, WantGPS: true},
+		&RegistrationRequest{EIN: 7},
+		&ReservationRequest{User: 3, Slots: 4},
+	} {
+		if b, err := p.Marshal(); err == nil {
+			f.Add(b)
+		}
+	}
+	f.Add(make([]byte, phy.CodewordInfoBytes))
+	f.Add(make([]byte, phy.CodewordInfoBytes-1))
+	over := make([]byte, phy.CodewordInfoBytes)
+	over[0], over[5], over[6] = byte(TypeData)<<4, 0x03, 0xF0 // payload length 63 > MaxPayload
+	f.Add(over)
+	badUser := make([]byte, phy.CodewordInfoBytes)
+	badUser[0], badUser[1] = byte(TypeReservation)<<4|0x0F, 0xC0 // user 63
+	f.Add(badUser)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantErr := refUnmarshalPacket(b)
+		dirty := bytes.Repeat([]byte{0xAA}, MaxPayload)
+		p := &Packet{
+			Type:        PacketType(9),
+			Data:        &DataPacket{Header: DataHeader{User: 9, MsgID: 9}, Payload: dirty[:5]},
+			Register:    &RegistrationRequest{EIN: 9, WantGPS: true},
+			Reservation: &ReservationRequest{User: 9, Slots: 9},
+		}
+		before := *p
+		err := UnmarshalPacketInto(p, b)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("UnmarshalPacketInto err = %v, reference err = %v", err, wantErr)
+		}
+		if err != nil {
+			if errors.Is(err, ErrBadLength) != errors.Is(wantErr, ErrBadLength) ||
+				errors.Is(err, ErrBadPacket) != errors.Is(wantErr, ErrBadPacket) {
+				t.Fatalf("error class %v, reference %v", err, wantErr)
+			}
+			if *p != before {
+				t.Fatal("a rejected packet changed the storage")
+			}
+			return
+		}
+		if p.Type != want.Type {
+			t.Fatalf("type %v, reference %v", p.Type, want.Type)
+		}
+		switch p.Type {
+		case TypeData:
+			if p.Register != nil || p.Reservation != nil {
+				t.Fatal("data packet kept other bodies")
+			}
+			if p.Data.Header != want.Data.Header || !bytes.Equal(p.Data.Payload, want.Data.Payload) {
+				t.Fatalf("data %+v, reference %+v", *p.Data, *want.Data)
+			}
+		case TypeRegistration:
+			if p.Data != nil || p.Reservation != nil {
+				t.Fatal("registration kept other bodies")
+			}
+			if *p.Register != *want.Register {
+				t.Fatalf("registration %+v, reference %+v", *p.Register, *want.Register)
+			}
+		case TypeReservation:
+			if p.Data != nil || p.Register != nil {
+				t.Fatal("reservation kept other bodies")
+			}
+			if *p.Reservation != *want.Reservation {
+				t.Fatalf("reservation %+v, reference %+v", *p.Reservation, *want.Reservation)
+			}
+		}
+	})
+}
+
+// FuzzUnmarshalGPSReportInto is FuzzUnmarshalPacketInto's twin for the
+// GPS body parser.
+func FuzzUnmarshalGPSReportInto(f *testing.F) {
+	g := &GPSReport{User: 2, Sequence: 513, Latitude: 0x123456, Longitude: 0x654321}
+	if b, err := g.Marshal(); err == nil {
+		f.Add(b)
+		bad := bytes.Clone(b)
+		bad[9] ^= 1
+		f.Add(bad)
+	}
+	f.Add(make([]byte, GPSReportBytes))
+	f.Add(make([]byte, GPSReportBytes+1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantErr := refUnmarshalGPSReport(b)
+		dirty := GPSReport{User: 9, Sequence: 9, Latitude: 9, Longitude: 9}
+		got := dirty
+		err := UnmarshalGPSReportInto(&got, b)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("UnmarshalGPSReportInto err = %v, reference err = %v", err, wantErr)
+		}
+		if err != nil {
+			if errors.Is(err, ErrBadLength) != errors.Is(wantErr, ErrBadLength) ||
+				errors.Is(err, ErrBadPacket) != errors.Is(wantErr, ErrBadPacket) {
+				t.Fatalf("error class %v, reference %v", err, wantErr)
+			}
+			if got != dirty {
+				t.Fatal("a rejected body changed the report")
+			}
+			return
+		}
+		if got != *want {
+			t.Fatalf("report %+v, reference %+v", got, *want)
 		}
 	})
 }

@@ -130,14 +130,22 @@ type RegistrationRequest struct {
 
 // Marshal packs the request into 48 information bytes.
 func (p *RegistrationRequest) Marshal() ([]byte, error) {
-	w := bitio.NewWriter(phy.CodewordInfoBits)
-	w.PutBits(uint64(TypeRegistration), typeBits)
-	w.PutBits(uint64(p.EIN), EINBits)
-	w.PutBool(p.WantGPS)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: registration request: %w", ErrBadPacket, err)
+	return p.MarshalTo(nil)
+}
+
+// MarshalTo packs the request like Marshal but appends the 48
+// information bytes to dst, so a reused buffer makes the encode
+// allocation-free. Every field fits its width, so it cannot fail.
+//
+//lint:ignore codecpair UnmarshalPacket is the round-trip counterpart; the analyzer pairs by name suffix only
+func (p *RegistrationRequest) MarshalTo(dst []byte) ([]byte, error) {
+	dst, buf := appendZeros(dst, phy.CodewordInfoBytes)
+	nbit := bitio.PutBitsAt(buf, 0, uint64(TypeRegistration), typeBits)
+	nbit = bitio.PutBitsAt(buf, nbit, uint64(p.EIN), EINBits)
+	if p.WantGPS {
+		bitio.PutBitsAt(buf, nbit, 1, 1)
 	}
-	return w.Bytes(), nil
+	return dst, nil
 }
 
 // ReservationRequest explicitly asks for data slots in the next cycle
@@ -149,20 +157,26 @@ type ReservationRequest struct {
 
 // Marshal packs the request into 48 information bytes.
 func (p *ReservationRequest) Marshal() ([]byte, error) {
+	return p.MarshalTo(nil)
+}
+
+// MarshalTo packs the request like Marshal but appends the 48
+// information bytes to dst, so a reused buffer makes the encode
+// allocation-free.
+//
+//lint:ignore codecpair UnmarshalPacket is the round-trip counterpart; the analyzer pairs by name suffix only
+func (p *ReservationRequest) MarshalTo(dst []byte) ([]byte, error) {
 	if p.Slots > MaxMoreSlots {
 		return nil, fmt.Errorf("%w: Slots %d, max %d", ErrBadPacket, p.Slots, MaxMoreSlots)
 	}
 	if !p.User.Valid() {
 		return nil, fmt.Errorf("%w: invalid user ID %d", ErrBadPacket, p.User)
 	}
-	w := bitio.NewWriter(phy.CodewordInfoBits)
-	w.PutBits(uint64(TypeReservation), typeBits)
-	w.PutBits(uint64(p.User), UserIDBits)
-	w.PutBits(uint64(p.Slots), moreSlotsBits)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("%w: reservation request: %w", ErrBadPacket, err)
-	}
-	return w.Bytes(), nil
+	dst, buf := appendZeros(dst, phy.CodewordInfoBytes)
+	nbit := bitio.PutBitsAt(buf, 0, uint64(TypeReservation), typeBits)
+	nbit = bitio.PutBitsAt(buf, nbit, uint64(p.User), UserIDBits)
+	bitio.PutBitsAt(buf, nbit, uint64(p.Slots), moreSlotsBits)
+	return dst, nil
 }
 
 // Packet is the decoded form of a reverse-channel packet: exactly one of
@@ -174,57 +188,91 @@ type Packet struct {
 	Reservation *ReservationRequest
 }
 
-// UnmarshalPacket parses the 48 information bytes of a reverse packet.
+// UnmarshalPacket parses the 48 information bytes of a reverse packet
+// into a newly allocated Packet.
 func UnmarshalPacket(b []byte) (*Packet, error) {
-	if len(b) != phy.CodewordInfoBytes {
-		return nil, fmt.Errorf("%w: packet %d bytes, want %d", ErrBadLength, len(b), phy.CodewordInfoBytes)
+	p := &Packet{Data: &DataPacket{}, Register: &RegistrationRequest{}, Reservation: &ReservationRequest{}}
+	if err := UnmarshalPacketInto(p, b); err != nil {
+		return nil, err
 	}
-	r := bitio.NewReader(b)
-	t := PacketType(r.TakeBits(typeBits))
+	return p, nil
+}
+
+// UnmarshalPacketInto parses the 48 information bytes of a reverse
+// packet into storage the caller owns, without allocating. The body
+// lands in the DataPacket, RegistrationRequest or ReservationRequest
+// that p already points to for the parsed type; a nil pointer there is
+// an error. A data payload is copied into p.Data.Payload's backing
+// array, which grows only when it is too small. On success the other
+// two pointers are cleared, so p carries exactly one body; on error p
+// is unchanged.
+func UnmarshalPacketInto(p *Packet, b []byte) error {
+	if len(b) != phy.CodewordInfoBytes {
+		return fmt.Errorf("%w: packet %d bytes, want %d", ErrBadLength, len(b), phy.CodewordInfoBytes)
+	}
+	v, nbit := bitio.TakeBitsAt(b, 0, typeBits)
+	t := PacketType(v)
 	switch t {
 	case TypeData:
-		h := DataHeader{
-			User:      UserID(r.TakeBits(UserIDBits)),
-			MoreSlots: uint8(r.TakeBits(moreSlotsBits)),
-			MsgID:     uint16(r.TakeBits(msgIDBits)),
-			Frag:      uint8(r.TakeBits(fragBits)),
-			FragTotal: uint8(r.TakeBits(fragBits)),
-		}
-		n := int(r.TakeBits(payloadLenBits))
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: data header: %w", ErrBadPacket, err)
-		}
+		var h DataHeader
+		v, nbit = bitio.TakeBitsAt(b, nbit, UserIDBits)
+		h.User = UserID(v)
+		v, nbit = bitio.TakeBitsAt(b, nbit, moreSlotsBits)
+		h.MoreSlots = uint8(v)
+		v, nbit = bitio.TakeBitsAt(b, nbit, msgIDBits)
+		h.MsgID = uint16(v)
+		v, nbit = bitio.TakeBitsAt(b, nbit, fragBits)
+		h.Frag = uint8(v)
+		v, nbit = bitio.TakeBitsAt(b, nbit, fragBits)
+		h.FragTotal = uint8(v)
+		v, _ = bitio.TakeBitsAt(b, nbit, payloadLenBits)
+		n := int(v)
 		if n > MaxPayload {
-			return nil, fmt.Errorf("%w: payload length %d exceeds max %d", ErrBadPacket, n, MaxPayload)
+			return fmt.Errorf("%w: payload length %d exceeds max %d", ErrBadPacket, n, MaxPayload)
 		}
-		if err := r.Skip(headerBits - 52); err != nil {
-			return nil, err
+		d := p.Data
+		if d == nil {
+			return errNoStorage(t)
 		}
-		payload := r.TakeBytes(n)
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: data payload: %w", ErrBadPacket, err)
-		}
-		return &Packet{Type: TypeData, Data: &DataPacket{Header: h, Payload: payload}}, nil
+		// The header pads to a whole byte count, so the payload is
+		// byte-aligned.
+		d.Header = h
+		d.Payload = append(d.Payload[:0], b[headerBytes:headerBytes+n]...)
+		p.Register, p.Reservation = nil, nil
 	case TypeRegistration:
-		ein := EIN(r.TakeBits(EINBits))
-		wantGPS := r.TakeBool()
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: registration request: %w", ErrBadPacket, err)
+		r := p.Register
+		if r == nil {
+			return errNoStorage(t)
 		}
-		return &Packet{Type: TypeRegistration, Register: &RegistrationRequest{EIN: ein, WantGPS: wantGPS}}, nil
+		v, nbit = bitio.TakeBitsAt(b, nbit, EINBits)
+		r.EIN = EIN(v)
+		v, _ = bitio.TakeBitsAt(b, nbit, 1)
+		r.WantGPS = v == 1
+		p.Data, p.Reservation = nil, nil
 	case TypeReservation:
-		user := UserID(r.TakeBits(UserIDBits))
-		slots := uint8(r.TakeBits(moreSlotsBits))
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("%w: reservation request: %w", ErrBadPacket, err)
-		}
+		v, nbit = bitio.TakeBitsAt(b, nbit, UserIDBits)
+		user := UserID(v)
+		v, _ = bitio.TakeBitsAt(b, nbit, moreSlotsBits)
 		if !user.Valid() {
-			return nil, fmt.Errorf("%w: reservation from invalid user %d", ErrBadPacket, user)
+			return fmt.Errorf("%w: reservation from invalid user %d", ErrBadPacket, user)
 		}
-		return &Packet{Type: TypeReservation, Reservation: &ReservationRequest{User: user, Slots: slots}}, nil
+		r := p.Reservation
+		if r == nil {
+			return errNoStorage(t)
+		}
+		r.User, r.Slots = user, uint8(v)
+		p.Data, p.Register = nil, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown packet type %d", ErrBadPacket, int(t))
+		return fmt.Errorf("%w: unknown packet type %d", ErrBadPacket, int(t))
 	}
+	p.Type = t
+	return nil
+}
+
+// errNoStorage reports an UnmarshalPacketInto call whose Packet has no
+// body of the parsed type to fill.
+func errNoStorage(t PacketType) error {
+	return fmt.Errorf("frame: UnmarshalPacketInto: Packet has no %v body to fill", t)
 }
 
 // GPSReport is the periodic 72-bit location packet a bus transmits
@@ -267,25 +315,35 @@ func (g *GPSReport) MarshalTo(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalGPSReport parses and validates a GPS packet body. A checksum
-// mismatch returns ErrBadPacket: the report is discarded.
+// UnmarshalGPSReport parses and validates a GPS packet body into a
+// newly allocated report. A checksum mismatch returns ErrBadPacket: the
+// report is discarded.
 func UnmarshalGPSReport(b []byte) (*GPSReport, error) {
-	if len(b) != GPSReportBytes {
-		return nil, fmt.Errorf("%w: GPS body %d bytes, want %d", ErrBadLength, len(b), GPSReportBytes)
-	}
-	if xorChecksum(b[:9]) != b[9] {
-		return nil, fmt.Errorf("%w: GPS checksum mismatch", ErrBadPacket)
-	}
-	r := bitio.NewReader(b)
 	g := &GPSReport{}
-	g.User = UserID(r.TakeBits(UserIDBits))
-	g.Sequence = uint16(r.TakeBits(16))
-	g.Latitude = uint32(r.TakeBits(24))
-	g.Longitude = uint32(r.TakeBits(24))
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: GPS report: %w", ErrBadPacket, err)
+	if err := UnmarshalGPSReportInto(g, b); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// UnmarshalGPSReportInto parses and validates a GPS packet body into a
+// caller-owned report, without allocating. On error g is unchanged.
+func UnmarshalGPSReportInto(g *GPSReport, b []byte) error {
+	if len(b) != GPSReportBytes {
+		return fmt.Errorf("%w: GPS body %d bytes, want %d", ErrBadLength, len(b), GPSReportBytes)
+	}
+	if xorChecksum(b[:9]) != b[9] {
+		return fmt.Errorf("%w: GPS checksum mismatch", ErrBadPacket)
+	}
+	v, nbit := bitio.TakeBitsAt(b, 0, UserIDBits)
+	g.User = UserID(v)
+	v, nbit = bitio.TakeBitsAt(b, nbit, 16)
+	g.Sequence = uint16(v)
+	v, nbit = bitio.TakeBitsAt(b, nbit, 24)
+	g.Latitude = uint32(v)
+	v, _ = bitio.TakeBitsAt(b, nbit, 24)
+	g.Longitude = uint32(v)
+	return nil
 }
 
 func xorChecksum(b []byte) byte {

@@ -19,9 +19,10 @@ var globalStatePackages = []string{
 
 // GlobalState forbids package-level mutable state in the packages on
 // the sharding critical path. Allowed at package level: constants,
-// blank compile-time assertions (var _ Iface = ...), and error
-// sentinels (var ErrX = errors.New(...)) — provided the sentinel is
-// never reassigned.
+// blank compile-time assertions (var _ Iface = ...), error sentinels
+// (var ErrX = errors.New(...)), and write-once tables built on first
+// use (var t = sync.OnceValue(...) or sync.OnceValues(...)) — provided
+// the sentinel or table variable is never reassigned.
 var GlobalState = &Analyzer{
 	Name: "globalstate",
 	Doc:  "forbid package-level mutable state and unsynchronized shared maps in shard-critical packages",
@@ -34,9 +35,11 @@ func runGlobalState(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 
-	// sentinels records the error-typed package vars declared in this
-	// package so that reassignments can be flagged below.
+	// sentinels and tables record the package vars allowed because they
+	// are set once at init — error sentinels and sync.OnceValue tables —
+	// so that reassignments can be flagged below.
 	sentinels := make(map[types.Object]bool)
+	tables := make(map[types.Object]bool)
 
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
@@ -49,7 +52,7 @@ func runGlobalState(pass *Pass) {
 				if !ok {
 					continue
 				}
-				for _, name := range vs.Names {
+				for i, name := range vs.Names {
 					if name.Name == "_" {
 						continue // compile-time interface assertion
 					}
@@ -60,6 +63,10 @@ func runGlobalState(pass *Pass) {
 					t := obj.Type()
 					if isErrorType(t) {
 						sentinels[obj] = true
+						continue
+					}
+					if len(vs.Values) == len(vs.Names) && isOnceValueCall(info, vs.Values[i]) {
+						tables[obj] = true
 						continue
 					}
 					switch t.Underlying().(type) {
@@ -73,8 +80,8 @@ func runGlobalState(pass *Pass) {
 		}
 	}
 
-	// A sentinel is only allowed because it is write-once at init; any
-	// later assignment reintroduces shared mutable state.
+	// Sentinels and tables are only allowed because they are write-once
+	// at init; any later assignment reintroduces shared mutable state.
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
@@ -86,13 +93,41 @@ func runGlobalState(pass *Pass) {
 				if !ok {
 					continue
 				}
-				if obj := info.Uses[id]; obj != nil && sentinels[obj] {
+				switch obj := info.Uses[id]; {
+				case sentinels[obj]:
 					pass.Reportf(as.Pos(), "reassignment of error sentinel %s; sentinels must be write-once", id.Name)
+				case tables[obj]:
+					pass.Reportf(as.Pos(), "reassignment of sync.OnceValue table %s; tables must be write-once", id.Name)
 				}
 			}
 			return true
 		})
 	}
+}
+
+// isOnceValueCall reports whether e calls sync.OnceValue or
+// sync.OnceValues, with or without explicit type arguments.
+func isOnceValueCall(info *types.Info, e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fun := ast.Unparen(call.Fun)
+	switch f := fun.(type) {
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return false
+	}
+	return fn.Name() == "OnceValue" || fn.Name() == "OnceValues"
 }
 
 // inScope reports whether the package path ends with one of the scope

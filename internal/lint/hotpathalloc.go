@@ -29,8 +29,18 @@ type hotRoot struct{ pkg, recv, name string }
 // Network.SimulationCycle is the compiled-cycle per-slot dispatcher
 // (fast handlers only; the slow fallback handlers and per-cycle
 // activation are deliberately outside — their allocations are
-// amortized per cycle or per message, not per slot).
+// amortized per cycle or per message, not per slot). Simulator.At,
+// RoundRobin.Schedule, BaseStation.RecordReverse and
+// Subscriber.OnControlFields are the kernel, scheduler, reception and
+// planning steps every busy cycle takes. BaseStation.BeginCycle stays
+// out: through the scheduler seam it reaches the FCFS and
+// LongestQueueFirst ablation schedulers, which return a fresh schedule
+// per call.
 var hotRoots = []hotRoot{
+	{"internal/sim", "Simulator", "At"},
+	{"internal/sched", "RoundRobin", "Schedule"},
+	{"internal/core", "BaseStation", "RecordReverse"},
+	{"internal/core", "Subscriber", "OnControlFields"},
 	{"internal/rs", "Code", "EncodeTo"},
 	{"internal/rs", "Code", "DecodeTo"},
 	{"internal/frame", "Codec", "EncodePayloadTo"},

@@ -6,6 +6,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,10 +32,41 @@ type ReverseScheduler interface {
 	// Schedule fills the available slot positions with user IDs. avail
 	// lists the assignable slot indices in time order (contention slots
 	// are excluded by the caller). The result is parallel to avail;
-	// frame.NoUser marks a slot left unassigned.
+	// frame.NoUser marks a slot left unassigned. A scheduler may return
+	// a buffer it reuses, so the result stays valid only until the next
+	// Schedule call; callers copy what they keep.
 	Schedule(requests []Request, avail int) []frame.UserID
 	// Name identifies the scheduler in experiment output.
 	Name() string
+}
+
+// userSpace is the number of distinct 6-bit user IDs: every per-user
+// table in this package has one entry per ID.
+const userSpace = 1 << frame.UserIDBits
+
+// demandTable merges per-user requests: slots sums the valid positive
+// requests per user ID, and users lists the requesting users in
+// ascending ID order.
+type demandTable struct {
+	slots [userSpace]int
+	users [userSpace]frame.UserID
+	n     int
+}
+
+// fill merges requests into an empty table. Requests for no slots or
+// from an invalid user ID are ignored.
+func (t *demandTable) fill(requests []Request) {
+	for _, req := range requests {
+		if req.Slots > 0 && req.User.Valid() {
+			t.slots[req.User] += req.Slots
+		}
+	}
+	for u, d := range t.slots {
+		if d > 0 {
+			t.users[t.n] = frame.UserID(u)
+			t.n++
+		}
+	}
 }
 
 // RoundRobin is the paper's scheduler: it serves one slot per requesting
@@ -48,6 +81,7 @@ type RoundRobin struct {
 
 	lastServed frame.UserID
 	haveLast   bool
+	out        []frame.UserID // the returned schedule, reused across calls
 }
 
 var _ ReverseScheduler = (*RoundRobin)(nil)
@@ -65,14 +99,20 @@ func (r *RoundRobin) Name() string {
 	return "round-robin"
 }
 
-// Schedule implements ReverseScheduler.
+// Schedule implements ReverseScheduler. The result is a buffer r reuses
+// on its next call.
 func (r *RoundRobin) Schedule(requests []Request, avail int) []frame.UserID {
-	out := unassigned(avail)
-	users, demand := dedupe(requests)
+	out := r.out[:0]
+	for i := 0; i < avail; i++ {
+		out = append(out, frame.NoUser)
+	}
+	r.out = out
+	var t demandTable
+	t.fill(requests)
+	users, demand := t.users[:t.n], &t.slots
 	if len(users) == 0 || avail == 0 {
 		return out
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 
 	// Resume the rotation after the last-served user.
 	start := 0
@@ -86,19 +126,22 @@ func (r *RoundRobin) Schedule(requests []Request, avail int) []frame.UserID {
 	}
 
 	// Round-robin allocation: one slot per user with remaining demand.
-	counts := make(map[frame.UserID]int, len(users))
-	var order []frame.UserID // first-allocation order, drives lumping
+	var (
+		counts [userSpace]int
+		order  [userSpace]frame.UserID // first-allocation order, drives lumping
+		nOrder int
+	)
 	allocated := 0
-	idx := start
 	for allocated < avail {
 		progress := false
 		for n := 0; n < len(users) && allocated < avail; n++ {
-			u := users[(idx+n)%len(users)]
+			u := users[(start+n)%len(users)]
 			if demand[u] == 0 {
 				continue
 			}
 			if counts[u] == 0 {
-				order = append(order, u)
+				order[nOrder] = u
+				nOrder++
 			}
 			counts[u]++
 			demand[u]--
@@ -110,12 +153,11 @@ func (r *RoundRobin) Schedule(requests []Request, avail int) []frame.UserID {
 		if !progress {
 			break
 		}
-		idx = start // subsequent rounds keep the same rotation order
 	}
 
 	if r.Lump {
 		pos := 0
-		for _, u := range order {
+		for _, u := range order[:nOrder] {
 			for n := 0; n < counts[u]; n++ {
 				out[pos] = u
 				pos++
@@ -125,10 +167,10 @@ func (r *RoundRobin) Schedule(requests []Request, avail int) []frame.UserID {
 	}
 
 	// Unlumped: emit in raw round-robin order.
-	remaining := counts
+	remaining := &counts
 	pos := 0
 	for pos < allocated {
-		for n := 0; n < len(order) && pos < allocated; n++ {
+		for n := 0; n < nOrder && pos < allocated; n++ {
 			u := order[n]
 			if remaining[u] == 0 {
 				continue
@@ -178,16 +220,15 @@ func (LongestQueueFirst) Name() string { return "longest-queue-first" }
 // Schedule implements ReverseScheduler.
 func (LongestQueueFirst) Schedule(requests []Request, avail int) []frame.UserID {
 	out := unassigned(avail)
-	users, demand := dedupe(requests)
-	sort.Slice(users, func(i, j int) bool {
-		if demand[users[i]] != demand[users[j]] {
-			return demand[users[i]] > demand[users[j]]
-		}
-		return users[i] < users[j]
-	})
+	var t demandTable
+	t.fill(requests)
+	users := t.users[:t.n]
+	// Users are in ascending ID order, so a stable sort breaks demand
+	// ties by the lower ID.
+	slices.SortStableFunc(users, func(a, b frame.UserID) int { return cmp.Compare(t.slots[b], t.slots[a]) })
 	pos := 0
 	for _, u := range users {
-		for n := 0; n < demand[u] && pos < avail; n++ {
+		for n := 0; n < t.slots[u] && pos < avail; n++ {
 			out[pos] = u
 			pos++
 		}
@@ -202,22 +243,6 @@ func unassigned(n int) []frame.UserID {
 		out[i] = frame.NoUser
 	}
 	return out
-}
-
-// dedupe merges duplicate per-user requests, summing demands.
-func dedupe(requests []Request) ([]frame.UserID, map[frame.UserID]int) {
-	demand := make(map[frame.UserID]int, len(requests))
-	var users []frame.UserID
-	for _, req := range requests {
-		if req.Slots <= 0 || !req.User.Valid() {
-			continue
-		}
-		if _, seen := demand[req.User]; !seen {
-			users = append(users, req.User)
-		}
-		demand[req.User] += req.Slots
-	}
-	return users, demand
 }
 
 // Lumped reports whether each user's slots form a single contiguous run
@@ -249,9 +274,9 @@ type ForwardConstraints struct {
 	// SlotIntervals are the forward data slots' air times, in slot-index
 	// order, relative to the forward cycle start.
 	SlotIntervals []phy.Interval
-	// TxIntervals maps each user to its reverse-channel transmit
-	// intervals this cycle (same time origin).
-	TxIntervals map[frame.UserID][]phy.Interval
+	// TxIntervals lists every reverse-channel transmit interval of the
+	// cycle with its user (same time origin), in any order.
+	TxIntervals []TxInterval
 	// CF2User is the subscriber listening to the second control-field
 	// set; it must not receive forward slot 0 (paper §3.4 problem 1).
 	// frame.NoUser when the last reverse slot is unassigned.
@@ -261,65 +286,71 @@ type ForwardConstraints struct {
 	Switch time.Duration
 }
 
+// TxInterval is one reverse-channel transmission of a user.
+type TxInterval struct {
+	User     frame.UserID
+	Interval phy.Interval
+}
+
 // AssignForward fills forward data slots round-robin across users with
 // forward demand, skipping slots that would violate the half-duplex
 // constraint against the user's reverse transmissions or the CF2 rule.
-// demands maps user → queued forward packets. Returns the slot → user
-// vector (frame.NoUser = idle).
-func AssignForward(demands []Request, c ForwardConstraints) []frame.UserID {
-	out := unassigned(len(c.SlotIntervals))
-	users, remaining := dedupe(demands)
-	if len(users) == 0 {
-		return out
+// demands holds each user's queued forward packets. It appends the
+// slot → user vector (frame.NoUser = idle), one entry per slot of
+// c.SlotIntervals, to dst and returns the extended slice; it allocates
+// only when dst lacks the capacity.
+func AssignForward(dst []frame.UserID, demands []Request, c ForwardConstraints) []frame.UserID {
+	off := len(dst)
+	for range c.SlotIntervals {
+		dst = append(dst, frame.NoUser)
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-
-	plans := make(map[frame.UserID]*phy.HalfDuplexPlan, len(users))
-	for _, u := range users {
-		p := &phy.HalfDuplexPlan{Switch: c.Switch}
-		for _, iv := range c.TxIntervals[u] {
-			// Reverse transmissions are fixed; recording them cannot
-			// fail on a fresh plan.
-			if err := p.AddTransmit(iv); err != nil {
-				// Overlapping reverse slots for one user would be a
-				// scheduling bug upstream; treat the user as
-				// unschedulable this cycle.
-				remaining[u] = 0
-				break
-			}
+	out := dst[off:]
+	var t demandTable
+	t.fill(demands)
+	users, remaining := t.users[:t.n], &t.slots
+	if len(users) == 0 {
+		return dst
+	}
+	// A transmit interval that is not well-formed makes its user
+	// unschedulable this cycle: it would be a scheduling bug upstream.
+	for _, tx := range c.TxIntervals {
+		if tx.User.Valid() && !tx.Interval.Valid() {
+			remaining[tx.User] = 0
 		}
-		plans[u] = p
+	}
+	guard := c.Switch
+	if guard <= 0 {
+		guard = phy.HalfDuplexSwitch
 	}
 
 	for slot, iv := range c.SlotIntervals {
-		assigned := false
-		for n := 0; n < len(users) && !assigned; n++ {
-			u := users[n]
-			if remaining[u] == 0 {
-				continue
-			}
-			if slot == 0 && u == c.CF2User {
-				continue
-			}
-			if !plans[u].CanReceive(iv) {
-				continue
-			}
-			if err := plans[u].AddReceive(iv); err != nil {
+		for n, u := range users {
+			if remaining[u] == 0 || slot == 0 && u == c.CF2User || !canReceive(u, iv, c.TxIntervals, guard) {
 				continue
 			}
 			out[slot] = u
 			remaining[u]--
-			assigned = true
-		}
-		// Rotate fairness: move the served user to the back.
-		if assigned {
-			for n, u := range users {
-				if u == out[slot] {
-					users = append(append(append([]frame.UserID{}, users[:n]...), users[n+1:]...), u)
-					break
-				}
-			}
+			// Rotate fairness: move the served user to the back.
+			copy(users[n:], users[n+1:])
+			users[len(users)-1] = u
+			break
 		}
 	}
-	return out
+	return dst
+}
+
+// canReceive reports whether user can receive during iv: iv is
+// well-formed and no transmit interval of the user comes within guard
+// of it (the half-duplex rule of phy.HalfDuplexPlan).
+func canReceive(user frame.UserID, iv phy.Interval, txs []TxInterval, guard time.Duration) bool {
+	if !iv.Valid() {
+		return false
+	}
+	padded := phy.Interval{Start: iv.Start - guard, End: iv.End + guard}
+	for _, tx := range txs {
+		if tx.User == user && padded.Overlaps(tx.Interval) {
+			return false
+		}
+	}
+	return true
 }

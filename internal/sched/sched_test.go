@@ -281,10 +281,10 @@ func TestAssignForwardRespectsHalfDuplex(t *testing.T) {
 	slots := fwdSlots(4, 0, 90*time.Millisecond, 0)
 	// User 1 transmits on the reverse channel exactly during forward
 	// slot 1 (and within 20 ms of slots 0 and 2).
-	tx := map[frame.UserID][]phy.Interval{
-		1: {{Start: 95 * time.Millisecond, End: 175 * time.Millisecond}},
+	tx := []TxInterval{
+		{User: 1, Interval: phy.Interval{Start: 95 * time.Millisecond, End: 175 * time.Millisecond}},
 	}
-	got := AssignForward(
+	got := AssignForward(nil,
 		[]Request{{User: 1, Slots: 4}},
 		ForwardConstraints{SlotIntervals: slots, TxIntervals: tx, CF2User: frame.NoUser},
 	)
@@ -301,7 +301,7 @@ func TestAssignForwardRespectsHalfDuplex(t *testing.T) {
 
 func TestAssignForwardCF2UserSkipsFirstSlot(t *testing.T) {
 	slots := fwdSlots(3, 0, 90*time.Millisecond, 10*time.Millisecond)
-	got := AssignForward(
+	got := AssignForward(nil,
 		[]Request{{User: 5, Slots: 3}},
 		ForwardConstraints{SlotIntervals: slots, TxIntervals: nil, CF2User: 5},
 	)
@@ -315,7 +315,7 @@ func TestAssignForwardCF2UserSkipsFirstSlot(t *testing.T) {
 
 func TestAssignForwardSharesAcrossUsers(t *testing.T) {
 	slots := fwdSlots(4, 0, 90*time.Millisecond, 10*time.Millisecond)
-	got := AssignForward(
+	got := AssignForward(nil,
 		[]Request{{User: 1, Slots: 4}, {User: 2, Slots: 4}},
 		ForwardConstraints{SlotIntervals: slots, CF2User: frame.NoUser},
 	)
@@ -326,7 +326,7 @@ func TestAssignForwardSharesAcrossUsers(t *testing.T) {
 
 func TestAssignForwardNoDemand(t *testing.T) {
 	slots := fwdSlots(2, 0, 90*time.Millisecond, 0)
-	got := AssignForward(nil, ForwardConstraints{SlotIntervals: slots, CF2User: frame.NoUser})
+	got := AssignForward(nil, nil, ForwardConstraints{SlotIntervals: slots, CF2User: frame.NoUser})
 	for _, u := range got {
 		if u != frame.NoUser {
 			t.Fatal("slots assigned without demand")
@@ -339,14 +339,13 @@ func TestAssignForwardNoDemand(t *testing.T) {
 func TestPropertyAssignForwardFeasible(t *testing.T) {
 	f := func(txStartsRaw []uint8, demandRaw [4]uint8) bool {
 		slots := fwdSlots(8, 0, 90*time.Millisecond, 4*time.Millisecond)
-		tx := map[frame.UserID][]phy.Interval{}
+		var tx []TxInterval
 		for i, s := range txStartsRaw {
 			if i >= 4 {
 				break
 			}
-			u := frame.UserID(i)
 			start := time.Duration(s) * 5 * time.Millisecond
-			tx[u] = append(tx[u], phy.Interval{Start: start, End: start + 100*time.Millisecond})
+			tx = append(tx, TxInterval{User: frame.UserID(i), Interval: phy.Interval{Start: start, End: start + 100*time.Millisecond}})
 		}
 		var reqs []Request
 		demand := map[frame.UserID]int{}
@@ -358,7 +357,7 @@ func TestPropertyAssignForwardFeasible(t *testing.T) {
 				demand[u] = n
 			}
 		}
-		got := AssignForward(reqs, ForwardConstraints{SlotIntervals: slots, TxIntervals: tx, CF2User: 0})
+		got := AssignForward(nil, reqs, ForwardConstraints{SlotIntervals: slots, TxIntervals: tx, CF2User: 0})
 		counts := map[frame.UserID]int{}
 		for i, u := range got {
 			if u == frame.NoUser {
@@ -368,7 +367,11 @@ func TestPropertyAssignForwardFeasible(t *testing.T) {
 			if i == 0 && u == 0 {
 				return false // CF2 rule violated
 			}
-			for _, txIv := range tx[u] {
+			for _, t := range tx {
+				if t.User != u {
+					continue
+				}
+				txIv := t.Interval
 				gap := txIv.Start - slots[i].End
 				gap2 := slots[i].Start - txIv.End
 				if slots[i].Overlaps(txIv) {

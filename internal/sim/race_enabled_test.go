@@ -1,0 +1,8 @@
+//go:build race
+
+package sim
+
+// The race detector instruments the allocator, so allocation counts
+// measured under -race do not reflect production behavior; the
+// AllocsPerRun guards skip themselves there.
+const raceEnabled = true

@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -44,61 +43,72 @@ const (
 // before the horizon was reached.
 var ErrStopped = errors.New("simulation stopped")
 
-// Event is a scheduled closure. The closure receives the simulator so
-// that handlers can schedule follow-up events without capturing it.
-type Event struct {
+// event is one scheduled closure. The kernel keeps events by value in
+// its heap; (at, priority, seq) is unique per event, so the firing order
+// is a total order independent of the heap's internal layout.
+type event struct {
 	at       time.Duration
 	priority Priority
 	seq      uint64
-	index    int // heap index; -1 once popped or canceled
 	fn       func()
 }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() time.Duration { return e.at }
-
-// Canceled reports whether the event has been canceled or already fired.
-func (e *Event) Canceled() bool { return e.index == -1 }
-
-// eventQueue is a min-heap on (at, priority, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.at != b.at {
-		return a.at < b.at
+// before reports whether e fires before o: by time, then priority, then
+// scheduling order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	if a.priority != b.priority {
-		return a.priority < b.priority
+	if e.priority != o.priority {
+		return e.priority < o.priority
 	}
-	return a.seq < b.seq
+	return e.seq < o.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+// eventQueue is a binary min-heap of events on (at, priority, seq).
+type eventQueue []event
 
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		return
-	}
-	ev.index = len(*q)
+// push adds ev, sifting it up to its place.
+func (q *eventQueue) push(ev event) {
 	*q = append(*q, ev)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the earliest event. The queue must be
+// non-empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = event{} // drop the closure reference
+	h = h[:last]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&h[i]) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	*q = h
+	return top
 }
 
 // ActionSource feeds pre-sequenced actions into the kernel's main loop
@@ -150,42 +160,31 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 // At schedules fn at the absolute virtual time at with the given
 // priority. Scheduling in the past is an error: the kernel never rewinds
 // the clock.
-func (s *Simulator) At(at time.Duration, p Priority, fn func()) (*Event, error) {
+func (s *Simulator) At(at time.Duration, p Priority, fn func()) error {
 	if at < s.now {
-		return nil, fmt.Errorf("sim: schedule at %v before now %v", at, s.now)
+		return fmt.Errorf("sim: schedule at %v before now %v", at, s.now)
 	}
-	ev := &Event{at: at, priority: p, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, ev)
-	return ev, nil
+	s.schedule(at, p, fn)
+	return nil
 }
 
 // After schedules fn delay after the current virtual time at normal
 // priority. Negative delays are clamped to zero.
-func (s *Simulator) After(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	ev, err := s.At(s.now+delay, PriorityNormal, fn)
-	if err != nil {
-		//lint:ignore panicfree provably unreachable: now+delay >= now after clamping delay to zero
-		panic(err)
-	}
-	return ev
+func (s *Simulator) After(delay time.Duration, fn func()) {
+	s.AfterPriority(delay, PriorityNormal, fn)
 }
 
 // AfterPriority schedules fn delay after the current time with an
-// explicit priority.
-func (s *Simulator) AfterPriority(delay time.Duration, p Priority, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	ev, err := s.At(s.now+delay, p, fn)
-	if err != nil {
-		//lint:ignore panicfree provably unreachable: now+delay >= now after clamping delay to zero
-		panic(err)
-	}
-	return ev
+// explicit priority. Negative delays are clamped to zero.
+func (s *Simulator) AfterPriority(delay time.Duration, p Priority, fn func()) {
+	s.schedule(s.now+max(delay, 0), p, fn)
+}
+
+// schedule queues fn at at, which the caller guarantees is not before
+// now, under the next sequence number.
+func (s *Simulator) schedule(at time.Duration, p Priority, fn func()) {
+	s.queue.push(event{at: at, priority: p, seq: s.seq, fn: fn})
+	s.seq++
 }
 
 // AttachSource registers an ActionSource with the kernel. Sources stay
@@ -214,7 +213,7 @@ func (s *Simulator) nextUp() (src ActionSource, at time.Duration, ok bool) {
 		seq uint64
 	)
 	if len(s.queue) > 0 {
-		head := s.queue[0]
+		head := &s.queue[0]
 		at, p, seq, ok = head.at, head.priority, head.seq, true
 	}
 	for _, cand := range s.sources {
@@ -227,18 +226,6 @@ func (s *Simulator) nextUp() (src ActionSource, at time.Duration, ok bool) {
 		}
 	}
 	return src, at, ok
-}
-
-// Cancel removes a scheduled event. Canceling a nil, fired, or already
-// canceled event is a no-op and reports false.
-func (s *Simulator) Cancel(ev *Event) bool {
-	if ev == nil || ev.index == -1 {
-		return false
-	}
-	heap.Remove(&s.queue, ev.index)
-	ev.index = -1
-	ev.fn = nil
-	return true
 }
 
 // Stop halts the event loop after the currently executing event returns.
@@ -269,16 +256,11 @@ func (s *Simulator) Run(horizon time.Duration) error {
 			src.FireAction()
 			continue
 		}
-		popped, popOK := heap.Pop(&s.queue).(*Event)
-		if !popOK {
-			return errors.New("sim: corrupt event queue")
-		}
-		s.now = popped.at
+		ev := s.queue.pop()
+		s.now = ev.at
 		s.fired++
-		fn := popped.fn
-		popped.fn = nil
-		if fn != nil {
-			fn()
+		if ev.fn != nil {
+			ev.fn()
 		}
 	}
 	if s.now < horizon {
@@ -317,16 +299,11 @@ func (s *Simulator) RunBefore(limit time.Duration) error {
 			src.FireAction()
 			continue
 		}
-		popped, popOK := heap.Pop(&s.queue).(*Event)
-		if !popOK {
-			return errors.New("sim: corrupt event queue")
-		}
-		s.now = popped.at
+		ev := s.queue.pop()
+		s.now = ev.at
 		s.fired++
-		fn := popped.fn
-		popped.fn = nil
-		if fn != nil {
-			fn()
+		if ev.fn != nil {
+			ev.fn()
 		}
 	}
 	if s.now < limit {

@@ -32,16 +32,16 @@ func TestSameInstantOrdersByPriorityThenSeq(t *testing.T) {
 	s := New()
 	var got []string
 	at := 5 * time.Millisecond
-	if _, err := s.At(at, PriorityLate, func() { got = append(got, "late") }); err != nil {
+	if err := s.At(at, PriorityLate, func() { got = append(got, "late") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.At(at, PriorityNormal, func() { got = append(got, "n1") }); err != nil {
+	if err := s.At(at, PriorityNormal, func() { got = append(got, "n1") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.At(at, PriorityDeliver, func() { got = append(got, "deliver") }); err != nil {
+	if err := s.At(at, PriorityDeliver, func() { got = append(got, "deliver") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.At(at, PriorityNormal, func() { got = append(got, "n2") }); err != nil {
+	if err := s.At(at, PriorityNormal, func() { got = append(got, "n2") }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(horizon); err != nil {
@@ -61,7 +61,7 @@ func TestSameInstantOrdersByPriorityThenSeq(t *testing.T) {
 func TestSchedulingInPastFails(t *testing.T) {
 	s := New()
 	s.After(10*time.Millisecond, func() {
-		if _, err := s.At(5*time.Millisecond, PriorityNormal, func() {}); err == nil {
+		if err := s.At(5*time.Millisecond, PriorityNormal, func() {}); err == nil {
 			t.Error("scheduling in the past should fail")
 		}
 	})
@@ -135,52 +135,6 @@ func TestStopHaltsLoop(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	ev := s.After(time.Millisecond, func() { fired = true })
-	if !s.Cancel(ev) {
-		t.Fatal("cancel returned false for a live event")
-	}
-	if s.Cancel(ev) {
-		t.Fatal("double cancel returned true")
-	}
-	if s.Cancel(nil) {
-		t.Fatal("cancel(nil) returned true")
-	}
-	if err := s.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	s := New()
-	var got []int
-	var events []*Event
-	for i := 0; i < 5; i++ {
-		i := i
-		events = append(events, s.After(time.Duration(i+1)*time.Millisecond, func() {
-			got = append(got, i)
-		}))
-	}
-	s.Cancel(events[2])
-	if err := s.Run(horizon); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestEventsFiredCounter(t *testing.T) {
 	s := New()
 	for i := 0; i < 7; i++ {
@@ -202,7 +156,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		var fireTimes []time.Duration
 		for _, d := range delays {
 			at := time.Duration(d) * time.Microsecond
-			if _, err := s.At(at, PriorityNormal, func() {
+			if err := s.At(at, PriorityNormal, func() {
 				if s.Now() != at {
 					t.Errorf("clock %v != scheduled %v", s.Now(), at)
 				}
@@ -237,7 +191,7 @@ func TestPropertySameInstantFIFO(t *testing.T) {
 		var got []int
 		for i := 0; i < count; i++ {
 			i := i
-			if _, err := s.At(time.Millisecond, PriorityNormal, func() {
+			if err := s.At(time.Millisecond, PriorityNormal, func() {
 				got = append(got, i)
 			}); err != nil {
 				return false
@@ -255,21 +209,6 @@ func TestPropertySameInstantFIFO(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEventAccessors(t *testing.T) {
-	s := New()
-	ev := s.After(5*time.Millisecond, func() {})
-	if ev.At() != 5*time.Millisecond {
-		t.Fatalf("At() = %v", ev.At())
-	}
-	if ev.Canceled() {
-		t.Fatal("live event reports canceled")
-	}
-	s.Cancel(ev)
-	if !ev.Canceled() {
-		t.Fatal("canceled event reports live")
 	}
 }
 
@@ -323,7 +262,7 @@ func TestRunBeforeWindowsEqualOneRun(t *testing.T) {
 			if i == 2 {
 				p = PriorityBackbone
 			}
-			if _, err := s.At(at*time.Millisecond, p, func() { *got = append(*got, i) }); err != nil {
+			if err := s.At(at*time.Millisecond, p, func() { *got = append(*got, i) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -396,13 +335,13 @@ func TestPriorityBackboneSortsAfterLocalEvents(t *testing.T) {
 	s := New()
 	var got []string
 	at := 5 * time.Millisecond
-	if _, err := s.At(at, PriorityBackbone, func() { got = append(got, "bb") }); err != nil {
+	if err := s.At(at, PriorityBackbone, func() { got = append(got, "bb") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.At(at, PriorityLate, func() { got = append(got, "late") }); err != nil {
+	if err := s.At(at, PriorityLate, func() { got = append(got, "late") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.At(at, PriorityNormal, func() { got = append(got, "normal") }); err != nil {
+	if err := s.At(at, PriorityNormal, func() { got = append(got, "normal") }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(horizon); err != nil {
