@@ -438,7 +438,7 @@ func serveLive(n *osumac.Network, total int, addr string, every int, hold time.D
 	kernel := n.Sim()
 	reg := obs.NewRegistry(n.Metrics())
 	addHealthGauges(reg, buf, rec)
-	reg.AddGauge("osumac_event_queue_depth", "pending actions in the kernel event queue",
+	reg.AddGauge("osumac_event_queue_depth", "events queued on the kernel's heap (excludes cycle starts and compiled slot actions, which the cell's action source holds)",
 		func() float64 { return float64(kernel.Pending()) })
 	publish := func(cycle int, at time.Duration, done bool) {
 		exp := reg.Export(cycle, at, done)

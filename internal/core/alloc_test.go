@@ -93,3 +93,74 @@ func TestOnControlFieldsAllocsZero(t *testing.T) {
 		t.Fatal("queue drained: the lost fragments were not requeued")
 	}
 }
+
+// TestForwardQueueAllocsZero guards the base station's forward queue:
+// fragments are values in a per-user ring that keeps its storage, and
+// PopForward builds the packet in base-station scratch, so a steady
+// enqueue/pop cycle allocates nothing once the ring has grown.
+func TestForwardQueueAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	b, _ := newTestBase(t, nil)
+	b.BeginCycle()
+	u := register(t, b, 100, false)
+	msgID := uint16(0)
+	step := func() {
+		for _, size := range []int{30, 200, 500} {
+			if err := b.EnqueueForward(u, msgID, size); err != nil {
+				t.Fatal(err)
+			}
+			msgID++
+		}
+		for b.PopForward(u) != nil {
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Fatalf("%v allocs per enqueue/drain round, want 0", n)
+	}
+}
+
+// TestCycleSourcePeekAllocsZero guards the hotpathalloc root
+// compiledSource.PeekAction, which the kernel calls on every step: it
+// merges the compiled instances' cursors with the pending cycle starts
+// without allocating, and a run of cycle starts recorded by
+// ScheduleCycles reuses the run list's storage once it has drained.
+func TestCycleSourcePeekAllocsZero(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	n := newTestNetwork(t, nil)
+	for i := 0; i < 4; i++ {
+		if _, err := n.AddSubscriber(frame.EIN(100+i), false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	peeks := 0
+	step := func() {
+		if err := n.ScheduleCycles(2, n.Sim().Now()); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			at, _, _, ok := n.compiled.PeekAction()
+			if !ok {
+				return
+			}
+			peeks++
+			if err := n.Sim().Run(at); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step()
+	if a := testing.AllocsPerRun(50, step); a != 0 {
+		t.Fatalf("%v allocs per two source-driven cycles, want 0", a)
+	}
+	if peeks == 0 || n.Metrics().CompiledCycles.Value() == 0 {
+		t.Fatal("the cycle source never fired a compiled cycle")
+	}
+}

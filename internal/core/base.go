@@ -68,9 +68,17 @@ type BaseStation struct {
 	cfBlank    frame.ControlFields // all-unassigned template the buffers reset from
 	cf2Scratch frame.ControlFields
 
-	// Forward data queues, and assignForward's reused request and
-	// transmit-interval lists.
-	fwdQueue map[frame.UserID][]*frame.DataPacket
+	// Forward data queues: one fragment FIFO per user ID, holding each
+	// fragment's header fields and payload size, made on the user's
+	// first forward message (nil is an empty queue: a table of
+	// pointers keeps the 14 000 cells of a metro from carrying 2.5 KiB
+	// of empty rings each). PopForward builds the popped packet in
+	// fwdPkt, its payload a slice of the all-zero fwdZeros. fwdReqs and
+	// fwdTx are assignForward's reused request and transmit-interval
+	// lists.
+	fwdQueue [userSpace]*fragQueue
+	fwdPkt   frame.DataPacket
+	fwdZeros [frame.MaxPayload]byte
 	fwdReqs  []sched.Request
 	fwdTx    []sched.TxInterval
 
@@ -128,7 +136,6 @@ func NewBaseStation(cfg *Config, metrics *Metrics, rng *sim.RNG) *BaseStation {
 		cf2User:         frame.NoUser,
 		curLastTx:       frame.NoUser,
 		lastAssign:      frame.NoUser,
-		fwdQueue:        make(map[frame.UserID][]*frame.DataPacket),
 		asm:             make(map[uint32]asmState),
 		cf:              frame.NewControlFields(),
 	}
@@ -171,15 +178,17 @@ func (b *BaseStation) EnqueueForward(user frame.UserID, msgID uint16, size int) 
 		return fmt.Errorf("core: forward enqueue for unknown user %v", user)
 	}
 	frags := fragmentCount(size)
+	q := b.fwdQueue[user]
+	if q == nil {
+		q = new(fragQueue)
+		b.fwdQueue[user] = q
+	}
 	for i := 0; i < frags; i++ {
-		b.fwdQueue[user] = append(b.fwdQueue[user], &frame.DataPacket{
-			Header: frame.DataHeader{
-				User:      user,
-				MsgID:     msgID,
-				Frag:      uint8(i),
-				FragTotal: uint8(frags),
-			},
-			Payload: make([]byte, fragmentSize(size, i)),
+		q.pushBack(fragment{
+			msgID: msgID,
+			index: uint8(i),
+			total: uint8(frags),
+			size:  uint8(fragmentSize(size, i)),
 		})
 	}
 	return nil
@@ -382,9 +391,9 @@ func (b *BaseStation) assignForward(cf *frame.ControlFields, d int) [frame.Forwa
 		out[i] = frame.NoUser
 	}
 	demands := b.fwdReqs[:0]
-	for u, q := range b.fwdQueue {
-		if len(q) > 0 {
-			demands = append(demands, sched.Request{User: u, Slots: len(q)})
+	for u, q := range &b.fwdQueue {
+		if q != nil && q.len() > 0 {
+			demands = append(demands, sched.Request{User: frame.UserID(u), Slots: q.len()})
 		}
 	}
 	b.fwdReqs = demands
@@ -705,7 +714,9 @@ func (b *BaseStation) Deregister(user frame.UserID) error {
 	b.users &^= 1 << user
 	b.gpsUsers &^= 1 << user
 	b.demand[user] = 0
-	delete(b.fwdQueue, user)
+	if q := b.fwdQueue[user]; q != nil {
+		q.reset()
+	}
 	return nil
 }
 
@@ -740,16 +751,28 @@ func (b *BaseStation) RecordGPSDirect(rep *frame.GPSReport) bool {
 	return true
 }
 
-// PopForward removes and returns the next queued forward packet for
-// user, or nil.
+// PopForward removes the next queued forward fragment for user and
+// returns it as a data packet with an all-zero payload, or nil when
+// none is queued. The packet is the base station's scratch: valid only
+// until the next PopForward.
 func (b *BaseStation) PopForward(user frame.UserID) *frame.DataPacket {
-	q := b.fwdQueue[user]
-	if len(q) == 0 {
+	if int(user) >= len(b.fwdQueue) || b.fwdQueue[user] == nil {
 		return nil
 	}
-	pkt := q[0]
-	b.fwdQueue[user] = q[1:]
-	return pkt
+	f, ok := b.fwdQueue[user].popFront()
+	if !ok {
+		return nil
+	}
+	b.fwdPkt = frame.DataPacket{
+		Header: frame.DataHeader{
+			User:      user,
+			MsgID:     f.msgID,
+			Frag:      f.index,
+			FragTotal: f.total,
+		},
+		Payload: b.fwdZeros[:f.size],
+	}
+	return &b.fwdPkt
 }
 
 // ContentionSlotCount exposes the controller state for tests.

@@ -343,13 +343,39 @@ func TestBaseForwardQueueing(t *testing.T) {
 	if assigned != 3 { // 100 bytes = 3 fragments
 		t.Fatalf("forward slots = %d, want 3", assigned)
 	}
-	for i := 0; i < 3; i++ {
-		if pkt := b.PopForward(u); pkt == nil {
+	wantSizes := []int{frame.MaxPayload, frame.MaxPayload, 100 - 2*frame.MaxPayload}
+	for i, size := range wantSizes {
+		pkt := b.PopForward(u)
+		if pkt == nil {
 			t.Fatalf("forward packet %d missing", i)
+		}
+		want := frame.DataHeader{User: u, MsgID: 1, Frag: uint8(i), FragTotal: 3}
+		if pkt.Header != want || len(pkt.Payload) != size {
+			t.Fatalf("forward packet %d = %+v with %d payload bytes, want %+v with %d",
+				i, pkt.Header, len(pkt.Payload), want, size)
+		}
+		for _, c := range pkt.Payload {
+			if c != 0 {
+				t.Fatalf("forward packet %d payload not zeroed", i)
+			}
 		}
 	}
 	if b.PopForward(u) != nil {
 		t.Fatal("queue should be empty")
+	}
+	if b.PopForward(frame.NoUser) != nil || b.PopForward(frame.UserID(200)) != nil {
+		t.Fatal("pop for an unqueued or out-of-range user returned a packet")
+	}
+
+	// Deregistering drops whatever is still queued for the user.
+	if err := b.EnqueueForward(u, 2, 500); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Deregister(u); err != nil {
+		t.Fatal(err)
+	}
+	if b.PopForward(u) != nil {
+		t.Fatal("deregistered user's forward queue not cleared")
 	}
 }
 

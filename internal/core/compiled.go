@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,14 +18,21 @@ import (
 // template activates "fast" skips the wire round-trips an ideal channel
 // cannot change (control-field encode → transmit → decode, packet
 // marshal → RS encode → RS decode → unmarshal) and dispatches each slot
-// straight into the protocol handlers. Anything the template cannot
-// prove ahead of time — a lossy channel model, a planned contention
-// transmission, a CF2 schedule amendment, a reverse-format switch —
+// straight into the protocol handlers; contention slots included, since
+// a contender's marshaled packet reaches the base station unchanged.
+// Anything the template cannot prove ahead of time — a lossy channel
+// model, a CF2 schedule amendment, a reverse-format switch —
 // deactivates the fast path for the rest of the cycle: the remaining
 // actions still fire from the table at identical (time, priority,
 // sequence) coordinates, but run the exact event-kernel handlers. The
 // two engines are observationally identical (traces, metrics, RNG
 // streams); the differential fuzz target in the root package proves it.
+//
+// The same source is the cell's cycle clock: ScheduleCycles records a
+// run of cycle starts with their reserved sequence numbers instead of
+// queuing one heap event per cycle, and the source fires each start at
+// the key the heap event would have had. It runs under
+// Config.DisableCompiledCycle too, where it only keeps the clock.
 
 // slotOp classifies one compiled slot action.
 type slotOp uint8
@@ -105,6 +113,24 @@ func buildTemplate(format ReverseFormat) *cycleTemplate {
 	return t
 }
 
+// actionKey is a kernel action's position in the total firing order.
+type actionKey struct {
+	at  time.Duration
+	pri sim.Priority
+	seq uint64
+}
+
+// before reports whether k fires before o.
+func (k actionKey) before(o actionKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	if k.pri != o.pri {
+		return k.pri < o.pri
+	}
+	return k.seq < o.seq
+}
+
 // compiledInstance is one cycle bound to a template: the cycle's t0,
 // control fields, reserved kernel sequence numbers, and a cursor over
 // the active actions. Two instances suffice: a cycle's only action past
@@ -115,10 +141,10 @@ type compiledInstance struct {
 	t0     time.Duration
 	layout Layout
 	cf1    *frame.ControlFields // live pointer: CF2 amendments are visible
-	cf1Air []byte               // encoded CF1, for the slow delivery path
 	fast   bool
 	inUse  bool
-	pos    int // index into tmpl.exec of the next active action
+	pos    int       // index into tmpl.exec of the next active action
+	next   actionKey // that action's key
 
 	active     [maxTemplateActions]bool
 	seqs       [maxTemplateActions]uint64
@@ -126,52 +152,69 @@ type compiledInstance struct {
 	fwdUsers   [frame.ForwardScheduleEntries]frame.UserID
 }
 
-// head returns the instance's next action coordinates.
-func (ci *compiledInstance) head() (time.Duration, sim.Priority, uint64) {
-	si := ci.tmpl.exec[ci.pos]
-	a := &ci.tmpl.sched[si]
-	return ci.t0 + a.at, a.pri, ci.seqs[si]
-}
-
 // advance moves the cursor to the next active action, releasing the
 // instance when the cycle is drained.
 func (ci *compiledInstance) advance() {
 	for ci.pos++; ci.pos < len(ci.tmpl.exec); ci.pos++ {
-		if ci.active[ci.tmpl.exec[ci.pos]] {
+		si := ci.tmpl.exec[ci.pos]
+		if ci.active[si] {
+			a := &ci.tmpl.sched[si]
+			ci.next = actionKey{ci.t0 + a.at, a.pri, ci.seqs[si]}
 			return
 		}
 	}
 	ci.inUse = false
 }
 
+// cycleRun is one ScheduleCycles call's pending cycle starts: cycle
+// `cycle` begins at `at` under sequence number seq, and each of the
+// `left`-1 after it one CycleLength and one sequence number later —
+// the keys the call's At loop would have given its heap events.
+type cycleRun struct {
+	at    time.Duration
+	seq   uint64
+	cycle int
+	left  int
+}
+
 // compiledSource feeds compiled cycles into the kernel's main loop as a
 // sim.ActionSource. It runs each cycle off the process-wide template of
 // its reverse format; a cycle that switches format runs slow, and
-// counts as a recompile.
+// counts as a recompile. It also holds the cell's pending cycle starts
+// (runs), so one source per cell carries everything the kernel would
+// otherwise queue for a cycle.
 type compiledSource struct {
 	n          *Network
+	compile    bool // false under Config.DisableCompiledCycle: clock only
 	inst       [2]compiledInstance
 	lastFormat ReverseFormat
+	// runs holds ScheduleCycles' pending cycle starts. Runs that
+	// overlap in time interleave by key, exactly as their heap events
+	// would have.
+	runs []cycleRun
 }
 
 var _ sim.ActionSource = (*compiledSource)(nil)
 
-// newCompiledSource returns an executor for n. The caller attaches it
-// to the kernel.
-func newCompiledSource(n *Network) *compiledSource {
-	return &compiledSource{n: n}
+// newCompiledSource returns an executor for n; with compile false it
+// only keeps the cycle clock. The caller attaches it to the kernel.
+func newCompiledSource(n *Network, compile bool) *compiledSource {
+	return &compiledSource{n: n, compile: compile}
 }
 
 // activate binds a free instance to cycle k and reserves its kernel
 // sequence numbers in the exact order beginCycle's event path would
 // have scheduled them, so compiled and event cycles interleave
-// identically. It reports false when both instances are still busy (the
-// caller then schedules the cycle through plain heap events, which is
-// sequence-equivalent). Conditions known at activation time — a lossy
-// channel model somewhere, a reverse-format switch — deactivate the
-// fast path up front; the cycle still runs off the table via the slow
-// handlers.
-func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *frame.ControlFields, cf1Air []byte) bool {
+// identically. It returns nil when the executor is off or both
+// instances are still busy (the caller then schedules the cycle through
+// plain heap events, which is sequence-equivalent). Conditions known at
+// activation time — a lossy channel model somewhere, a reverse-format
+// switch — deactivate the fast path up front; the cycle still runs off
+// the table via the slow handlers.
+func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *frame.ControlFields) *compiledInstance {
+	if !cs.compile {
+		return nil
+	}
 	var ci *compiledInstance
 	for i := range cs.inst {
 		if !cs.inst[i].inUse {
@@ -180,7 +223,7 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 		}
 	}
 	if ci == nil {
-		return false
+		return nil
 	}
 	n := cs.n
 	fast := true
@@ -204,7 +247,6 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 	ci.t0 = t0
 	ci.layout = layout
 	ci.cf1 = cf1
-	ci.cf1Air = cf1Air
 	ci.fast = fast
 	ci.inUse = true
 	for i := range ci.contention {
@@ -221,51 +263,59 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 	}
 	ci.pos = -1
 	ci.advance()
-	return true
+	return ci
 }
 
-// pick returns the instance whose next action fires first, or nil.
-func (cs *compiledSource) pick() *compiledInstance {
-	var best *compiledInstance
+// pick returns the source's earliest pending action: an instance's next
+// slot action (ci non-nil) or the next cycle start of runs[run]. ok is
+// false when the source is idle.
+func (cs *compiledSource) pick() (key actionKey, ci *compiledInstance, run int, ok bool) {
+	run = -1
 	for i := range cs.inst {
-		ci := &cs.inst[i]
-		if !ci.inUse {
-			continue
-		}
-		if best == nil {
-			best = ci
-			continue
-		}
-		at, p, seq := ci.head()
-		bat, bp, bseq := best.head()
-		if at < bat || (at == bat && (p < bp || (p == bp && seq < bseq))) {
-			best = ci
+		c := &cs.inst[i]
+		if c.inUse && (!ok || c.next.before(key)) {
+			key, ci, ok = c.next, c, true
 		}
 	}
-	return best
+	for j := range cs.runs {
+		r := &cs.runs[j]
+		if k := (actionKey{r.at, sim.PriorityNormal, r.seq}); !ok || k.before(key) {
+			key, ci, run, ok = k, nil, j, true
+		}
+	}
+	return key, ci, run, ok
 }
 
 // PeekAction implements sim.ActionSource.
 func (cs *compiledSource) PeekAction() (time.Duration, sim.Priority, uint64, bool) {
-	best := cs.pick()
-	if best == nil {
-		return 0, 0, 0, false
-	}
-	at, p, seq := best.head()
-	return at, p, seq, true
+	key, _, _, ok := cs.pick()
+	return key.at, key.pri, key.seq, ok
 }
 
 // FireAction implements sim.ActionSource: it executes the earliest
-// pending action. The cursor advances first so handlers that inspect
-// the instance (fallback, delivery) see a consistent state.
+// pending action. The cursor (or run) advances first so handlers that
+// inspect the source (fallback, delivery, activation) see a consistent
+// state.
 func (cs *compiledSource) FireAction() {
-	ci := cs.pick()
+	_, ci, run, ok := cs.pick()
+	if !ok {
+		return
+	}
+	n := cs.n
 	if ci == nil {
+		r := &cs.runs[run]
+		k := r.cycle
+		r.at += phy.CycleLength
+		r.seq++
+		r.cycle++
+		if r.left--; r.left == 0 {
+			cs.runs = slices.Delete(cs.runs, run, run+1)
+		}
+		n.beginCycle(k)
 		return
 	}
 	a := ci.tmpl.sched[ci.tmpl.exec[ci.pos]]
 	ci.advance()
-	n := cs.n
 	switch a.op {
 	case opCF1:
 		n.fireControlCF1(ci)
@@ -291,27 +341,15 @@ func (n *Network) compiledFallback(ci *compiledInstance, reason *stats.Counter) 
 	}
 }
 
-// anyContentionPlanned reports whether any subscriber's current-cycle
-// plan includes a contention transmission — the intra-cycle surprise
-// the fast data-slot handler cannot model (collisions and backoff need
-// the full wire path).
-func (n *Network) anyContentionPlanned() bool {
-	for _, e := range n.subs {
-		if e.hasPlan && e.planCycle == n.cycle-1 && e.plan.ContentionSlot >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // fireControlCF1 delivers the first control-field set. Fast mode hands
 // every listener the shared decoded struct (an ideal channel's
 // decode∘encode is the identity, and no subscriber mutates or retains
-// it); plans that came back with a contention transmission deactivate
-// the fast path before any data slot fires.
+// it). A cycle that runs slow did so from activation — no trigger fires
+// between activation and CF1 — so beginCycle has encoded its CF1 into
+// cf1Buf for the wire.
 func (n *Network) fireControlCF1(ci *compiledInstance) {
 	if !ci.fast {
-		n.deliverCF1All(ci.cf1Air, ci.layout)
+		n.deliverCF1All(n.cf1Buf, ci.layout)
 		return
 	}
 	for _, e := range n.subs {
@@ -320,19 +358,13 @@ func (n *Network) fireControlCF1(ci *compiledInstance) {
 		}
 		n.deliverCFDirect(e, ci.cf1, ci.layout)
 	}
-	if n.anyContentionPlanned() {
-		n.compiledFallback(ci, &n.metrics.CompiledFallbackContention)
-	}
 }
 
 // fireControlCF2 builds and delivers the second control-field set.
 // BuildCF2 is not idempotent (amendments grant GPS slots), so it runs
-// exactly once here; a fallback triggered at CF2 (amendment, or a CF2
-// listener planning contention) reverts delivery to the wire path for
-// this set and the slow handlers for the remaining slots. A CF2
-// listener's contention slot always starts after CF2 plus the switch
-// guard (pickContentionSlot enforces it), so no already-fired fast slot
-// could have been its target.
+// exactly once here; a fallback triggered at CF2 (an amendment) reverts
+// delivery to the wire path for this set and the slow handlers for the
+// remaining slots.
 func (n *Network) fireControlCF2(ci *compiledInstance) {
 	if !ci.fast {
 		n.deliverCF2All(ci.layout)
@@ -353,9 +385,6 @@ func (n *Network) fireControlCF2(ci *compiledInstance) {
 		}
 		n.metrics.CF2Listens.Inc()
 		n.deliverCFDirect(e, cf2, ci.layout)
-	}
-	if n.anyContentionPlanned() {
-		n.compiledFallback(ci, &n.metrics.CompiledFallbackContention)
 	}
 }
 
@@ -431,13 +460,13 @@ func (n *Network) fastGPSSlot(ci *compiledInstance, slot int, txStart time.Durat
 	}
 }
 
-// fastDataSlot is dataSlotEnd minus the wire. Fast mode guarantees no
-// contention transmission is planned, so a contention slot is silent
-// (RecordReverse with zero payloads is a no-op) and a scheduled slot
-// carries at most its owner's packet, which survives the ideal channel
-// bit-for-bit.
+// fastDataSlot is dataSlotEnd minus the wire. A scheduled slot carries
+// at most its owner's packet (contenders only pick unassigned slots),
+// which survives the ideal channel bit-for-bit.
 func (n *Network) fastDataSlot(ci *compiledInstance, slot int, isLast bool) {
+	intoPrev := ci.cycle != n.cycle-1
 	if ci.contention[slot] {
+		n.fastContentionSlot(ci, slot, intoPrev, isLast)
 		return
 	}
 	owner := ci.cf1.ReverseSchedule[slot]
@@ -461,8 +490,39 @@ func (n *Network) fastDataSlot(ci *compiledInstance, slot int, isLast bool) {
 	n.metrics.FragmentsSent.Inc()
 	n.scratchPkt.Type = frame.TypeData
 	n.scratchPkt.Data = &n.scratchData
-	intoPrev := ci.cycle != n.cycle-1
 	out := n.base.recordPacket(slot, intoPrev, isLast, &n.scratchPkt, false)
+	n.handleOutcome(out, ci.cycle, slot)
+}
+
+// fastContentionSlot is dataSlotEnd's contention branch minus the wire:
+// each contender's marshaled packet goes straight to RecordReverse,
+// because an ideal channel returns the RS codeword unchanged and its
+// decode is the marshaled bytes. RecordReverse still parses them, and
+// two or more contenders still collide.
+func (n *Network) fastContentionSlot(ci *compiledInstance, slot int, intoPrev, isLast bool) {
+	infos := n.infoBuf[:0]
+	payloads := n.rxInfos[:0]
+	for _, e := range n.subs {
+		if !e.hasPlan || e.planCycle != ci.cycle || e.plan.ContentionSlot != slot {
+			continue
+		}
+		off := len(infos)
+		grown, err := e.sub.MakeContentionPacket(infos)
+		if err != nil || len(grown) == off {
+			continue
+		}
+		infos = grown
+		payloads = append(payloads, infos[off:])
+		if n.tracing() {
+			n.trace(EventContentionTx, e.sub.ID(), slot, e.plan.ContentionKind.String())
+		}
+	}
+	n.infoBuf, n.rxInfos = infos, payloads
+
+	out := n.base.RecordReverse(slot, intoPrev, isLast, payloads, true)
+	if out.Collision && n.tracing() {
+		n.traceD(EventCollision, frame.NoUser, slot, DetailCollision, int64(len(payloads)), 0, 0)
+	}
 	n.handleOutcome(out, ci.cycle, slot)
 }
 

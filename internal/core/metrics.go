@@ -74,10 +74,12 @@ type Metrics struct {
 	// deactivated; they are deliberately NOT part of Snapshot, because
 	// the compiled path must be observationally identical to the event
 	// kernel and exported run artifacts must not differ between engines.
+	// CompiledFallbackContention always reads 0 since contention slots
+	// run on the fast path; it stays for readers of the counter set.
 	CompiledCycles             stats.Counter // cycles driven by the compiled source
 	CompiledFallbacks          stats.Counter // cycles whose fast path deactivated
 	CompiledFallbackLoss       stats.Counter // lossy channel model present
-	CompiledFallbackContention stats.Counter // a contention transmission was planned
+	CompiledFallbackContention stats.Counter // always 0 (see above)
 	CompiledFallbackAmendment  stats.Counter // CF2 amended the GPS schedule
 	CompiledFallbackFormat     stats.Counter // reverse format switched this cycle
 	CompiledRecompiles         stats.Counter // template re-selections on format switch

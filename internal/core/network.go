@@ -61,7 +61,8 @@ type Network struct {
 	// every consumer finishes with its buffer before handing control
 	// back, so one buffer per role removes the per-slot allocations.
 	// cf1Buf/cf2Buf live until their delivery events fire later in the
-	// same cycle; the rest are consumed within one handler: encBuf and
+	// same cycle (cf1Buf is only filled for a cycle that delivers CF1
+	// over the wire); the rest are consumed within one handler: encBuf and
 	// rxBuf hold one codeword, infoBuf and decBuf the marshaled and
 	// decoded information bytes of a slot's transmissions, and rxCF the
 	// control fields a subscriber decodes (its state machine only reads
@@ -76,9 +77,10 @@ type Network struct {
 	rxInfos [][]byte
 	rxCF    frame.ControlFields
 
-	// Compiled-cycle executor (see compiled.go). compiled is nil when
-	// Config.DisableCompiledCycle is set; allIdeal tracks whether every
-	// attached channel model is phy.Ideal — the fast path's precondition.
+	// Compiled-cycle executor and cycle clock (see compiled.go). Under
+	// Config.DisableCompiledCycle it only fires cycle starts; allIdeal
+	// tracks whether every attached channel model is phy.Ideal — the
+	// fast path's precondition.
 	compiled *compiledSource
 	allIdeal bool
 
@@ -172,10 +174,8 @@ func NewNetworkOnSim(cfg Config, kernel *sim.Simulator) (*Network, error) {
 		}
 	}
 	n.base = NewBaseStation(&n.cfg, n.metrics, root.Fork("base"))
-	if !n.cfg.DisableCompiledCycle {
-		n.compiled = newCompiledSource(n)
-		kernel.AttachSource(n.compiled)
-	}
+	n.compiled = newCompiledSource(n, !n.cfg.DisableCompiledCycle)
+	kernel.AttachSource(n.compiled)
 	return n, nil
 }
 
@@ -326,18 +326,19 @@ func (n *Network) FlushSeries() {
 // ScheduleCycles queues the next `cycles` notification cycles starting
 // at the absolute virtual time `start` without running the kernel —
 // used when several cells share one kernel (see the backbone package).
+// The starts are not heap events: the cell's action source holds them
+// as one run, under sequence numbers reserved now exactly as `cycles`
+// At calls would have taken them, so they fire in the same order. A
+// start before the kernel's clock is At's error.
 func (n *Network) ScheduleCycles(cycles int, start time.Duration) error {
 	if cycles <= 0 {
 		return fmt.Errorf("core: non-positive cycle count %d", cycles)
 	}
-	base := n.cycle
-	for k := 0; k < cycles; k++ {
-		k := k
-		at := start + time.Duration(k)*phy.CycleLength
-		if err := n.sim.At(at, sim.PriorityNormal, func() { n.beginCycle(base + k) }); err != nil {
-			return err
-		}
+	seq, err := n.sim.ReserveSeqs(start, cycles)
+	if err != nil {
+		return err
 	}
+	n.compiled.runs = append(n.compiled.runs, cycleRun{at: start, seq: seq, cycle: n.cycle, left: cycles})
 	return nil
 }
 
@@ -403,22 +404,28 @@ func (n *Network) beginCycle(k int) {
 		e.listensCF2 = e.sub.ListensCF2()
 	}
 
-	// CF1 delivery. The buffer is reused next cycle; the delivery event
-	// below fires at CF1.End, well before then.
-	cf1Air, err := n.codec.EncodeControlFieldsTo(n.cf1Buf[:0], cf1)
-	if err != nil {
+	// Every CF1 must be encodable, but only a cycle that delivers it
+	// over the wire needs the codewords: a fast compiled cycle hands
+	// subscribers the struct itself.
+	if err := cf1.Validate(); err != nil {
 		n.fail("control field encode", err)
 		return
 	}
-	n.cf1Buf = cf1Air
 
 	// Compiled fast path: when an instance is free, the whole cycle runs
 	// off a precompiled slot-action table instead of per-slot heap events
 	// (see compiled.go). The two engines are observationally identical.
-	if n.compiled != nil && n.compiled.activate(k, t0, layout, cf1, cf1Air) {
+	if ci := n.compiled.activate(k, t0, layout, cf1); ci != nil {
+		if !ci.fast {
+			n.encodeCF1(cf1)
+		}
 		return
 	}
 
+	if !n.encodeCF1(cf1) {
+		return
+	}
+	cf1Air := n.cf1Buf
 	n.sim.AfterPriority(layout.CF1.End, sim.PriorityDeliver, func() {
 		n.deliverCF1All(cf1Air, layout)
 	})
@@ -459,6 +466,19 @@ func (n *Network) beginCycle(k int) {
 			n.forwardSlotEnd(i, user)
 		})
 	}
+}
+
+// encodeCF1 encodes a validated CF1 into cf1Buf for wire delivery. The
+// buffer is reused next cycle; the cycle's CF1 delivery fires at
+// CF1.End, well before then.
+func (n *Network) encodeCF1(cf1 *frame.ControlFields) bool {
+	air, err := n.codec.EncodeControlFieldsTo(n.cf1Buf[:0], cf1)
+	if err != nil {
+		n.fail("control field encode", err)
+		return false
+	}
+	n.cf1Buf = air
+	return true
 }
 
 // recordSeriesPoint appends the per-cycle delta for the cycle that just

@@ -683,3 +683,31 @@ func TestInternalErrorAbortsRun(t *testing.T) {
 		t.Fatalf("Err().Op = %q, want first failure kept", got)
 	}
 }
+
+// TestUnencodableCF1AbortsCycle pins the CF1 range check that every
+// cycle keeps although a fast compiled cycle never encodes its CF1: a
+// page for a user ID wider than the paging field's 6 bits aborts the
+// next cycle with the control-field encode error, on both engines.
+func TestUnencodableCF1AbortsCycle(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		n := newTestNetwork(t, func(c *Config) { c.DisableCompiledCycle = disable })
+		for i := 0; i < 4; i++ {
+			if _, err := n.AddSubscriber(frame.EIN(100+i), false, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		cycles := n.Cycle()
+		n.Base().Page(frame.UserID(200))
+		err := n.Run(2)
+		var ie *InternalError
+		if !errors.As(err, &ie) || ie.Op != "control field encode" || !errors.Is(err, frame.ErrBadPacket) {
+			t.Fatalf("DisableCompiledCycle=%v: Run error = %v, want a control field encode InternalError", disable, err)
+		}
+		if got := n.Cycle(); got != cycles+1 {
+			t.Fatalf("DisableCompiledCycle=%v: %d cycles started after the bad page, want the next one only", disable, got-cycles)
+		}
+	}
+}

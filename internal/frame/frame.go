@@ -198,8 +198,8 @@ func (cf *ControlFields) Marshal() ([]byte, error) {
 //
 //lint:ignore codecpair UnmarshalControlFieldsInto is the round-trip counterpart; the analyzer pairs by name suffix only
 func (cf *ControlFields) MarshalTo(dst []byte) ([]byte, error) {
-	if !cf.fieldsInRange() {
-		return nil, cf.marshalErr()
+	if err := cf.Validate(); err != nil {
+		return nil, err
 	}
 	dst, buf := appendZeros(dst, ControlFieldBytes)
 	nbit := 0
@@ -220,6 +220,17 @@ func (cf *ControlFields) MarshalTo(dst []byte) ([]byte, error) {
 		nbit = bitio.PutBitsAt(buf, nbit, uint64(u), UserIDBits)
 	}
 	return dst, nil
+}
+
+// Validate reports whether the control fields can be marshaled: it
+// returns exactly the error MarshalTo would return, without encoding
+// anything. A caller that needs the encoded form only sometimes checks
+// every set with Validate and encodes on demand.
+func (cf *ControlFields) Validate() error {
+	if !cf.fieldsInRange() {
+		return cf.marshalErr()
+	}
+	return nil
 }
 
 // fieldsInRange reports whether every entry fits its declared field

@@ -75,6 +75,39 @@ func TestMarshalControlFieldsRejectsOversizedID(t *testing.T) {
 	}
 }
 
+// TestValidateMatchesMarshalTo pins Validate to MarshalTo's verdict: an
+// out-of-range entry in any of the five fields yields the identical
+// error, and an all-unassigned set validates clean.
+func TestValidateMatchesMarshalTo(t *testing.T) {
+	if err := NewControlFields().Validate(); err != nil {
+		t.Fatalf("NewControlFields: Validate = %v, want nil", err)
+	}
+	cases := []struct {
+		name string
+		set  func(cf *ControlFields)
+	}{
+		{"gps", func(cf *ControlFields) { cf.GPSSchedule[3] = 64 }},
+		{"reverse", func(cf *ControlFields) { cf.ReverseSchedule[8] = 200 }},
+		{"forward", func(cf *ControlFields) { cf.ForwardSchedule[36] = 65 }},
+		{"ack", func(cf *ControlFields) { cf.ReverseACKs[0] = ReverseACK{User: 255, EIN: 7} }},
+		{"paging", func(cf *ControlFields) { cf.Paging[17] = 100 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cf := NewControlFields()
+			tc.set(cf)
+			verr := cf.Validate()
+			_, merr := cf.MarshalTo(nil)
+			if verr == nil || merr == nil {
+				t.Fatalf("Validate = %v, MarshalTo = %v: want both to fail", verr, merr)
+			}
+			if !errors.Is(verr, ErrBadPacket) || verr.Error() != merr.Error() {
+				t.Fatalf("Validate = %q, MarshalTo = %q: want the same ErrBadPacket", verr, merr)
+			}
+		})
+	}
+}
+
 func TestUnmarshalControlFieldsLength(t *testing.T) {
 	if _, err := UnmarshalControlFields(make([]byte, 95)); err == nil {
 		t.Fatal("short buffer accepted")

@@ -29,8 +29,10 @@ type hotRoot struct{ pkg, recv, name string }
 // Network.SimulationCycle is the compiled-cycle per-slot dispatcher
 // (fast handlers only; the slow fallback handlers and per-cycle
 // activation are deliberately outside — their allocations are
-// amortized per cycle or per message, not per slot). Simulator.At,
-// RoundRobin.Schedule, BaseStation.RecordReverse and
+// amortized per cycle or per message, not per slot).
+// compiledSource.PeekAction is the kernel's per-step peek at a cell's
+// action source, which also holds the cell's pending cycle starts.
+// Simulator.At, RoundRobin.Schedule, BaseStation.RecordReverse and
 // Subscriber.OnControlFields are the kernel, scheduler, reception and
 // planning steps every busy cycle takes. BaseStation.BeginCycle stays
 // out: through the scheduler seam it reaches the FCFS and

@@ -217,7 +217,7 @@ var counterDescs = []counterDesc{
 	{"osumac_compiled_cycles_total", "cycles driven by the compiled fast path", func(m *core.Metrics) uint64 { return m.CompiledCycles.Value() }},
 	{"osumac_compiled_fallbacks_total", "cycles whose compiled fast path deactivated", func(m *core.Metrics) uint64 { return m.CompiledFallbacks.Value() }},
 	{"osumac_compiled_fallback_loss_total", "fallbacks due to a lossy channel model", func(m *core.Metrics) uint64 { return m.CompiledFallbackLoss.Value() }},
-	{"osumac_compiled_fallback_contention_total", "fallbacks due to planned contention transmissions", func(m *core.Metrics) uint64 { return m.CompiledFallbackContention.Value() }},
+	{"osumac_compiled_fallback_contention_total", "always 0: contention slots run on the compiled fast path (kept for existing readers)", func(m *core.Metrics) uint64 { return m.CompiledFallbackContention.Value() }},
 	{"osumac_compiled_fallback_amendment_total", "fallbacks due to CF2 schedule amendments", func(m *core.Metrics) uint64 { return m.CompiledFallbackAmendment.Value() }},
 	{"osumac_compiled_fallback_format_total", "fallbacks due to reverse format switches", func(m *core.Metrics) uint64 { return m.CompiledFallbackFormat.Value() }},
 	{"osumac_compiled_recompiles_total", "slot-action template re-selections on format switch", func(m *core.Metrics) uint64 { return m.CompiledRecompiles.Value() }},

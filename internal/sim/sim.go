@@ -154,17 +154,27 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // for sanity checks and benchmarks.
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
-// Pending returns the number of events still queued.
+// Pending returns the number of heap events still queued. Actions held
+// by attached ActionSources are not counted.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
 // At schedules fn at the absolute virtual time at with the given
 // priority. Scheduling in the past is an error: the kernel never rewinds
 // the clock.
 func (s *Simulator) At(at time.Duration, p Priority, fn func()) error {
+	if err := s.checkAt(at); err != nil {
+		return err
+	}
+	s.schedule(at, p, fn)
+	return nil
+}
+
+// checkAt refuses a scheduling time before now: the kernel never
+// rewinds the clock.
+func (s *Simulator) checkAt(at time.Duration) error {
 	if at < s.now {
 		return fmt.Errorf("sim: schedule at %v before now %v", at, s.now)
 	}
-	s.schedule(at, p, fn)
 	return nil
 }
 
@@ -202,6 +212,21 @@ func (s *Simulator) ReserveSeq() uint64 {
 	seq := s.seq
 	s.seq++
 	return seq
+}
+
+// ReserveSeqs hands out n consecutive sequence numbers for a run of
+// source actions whose first fires at `at`, and returns the first. It
+// consumes them exactly as n successive At calls made now would, so a
+// source can hold a whole run of pre-sequenced actions (a cell's cycle
+// starts, say) without queuing n heap events. Like At it refuses a time
+// before now, reserving nothing.
+func (s *Simulator) ReserveSeqs(at time.Duration, n int) (uint64, error) {
+	if err := s.checkAt(at); err != nil {
+		return 0, err
+	}
+	seq := s.seq
+	s.seq += uint64(max(n, 0))
+	return seq, nil
 }
 
 // nextUp selects the earliest pending work item — the heap head or an

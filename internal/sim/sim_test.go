@@ -354,3 +354,33 @@ func TestPriorityBackboneSortsAfterLocalEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveSeqsMatchesAt pins ReserveSeqs to the numbers n At calls
+// would have consumed, and to At's refusal of a time before now.
+func TestReserveSeqsMatchesAt(t *testing.T) {
+	s := New()
+	if err := s.At(time.Millisecond, PriorityNormal, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.ReserveSeqs(2*time.Millisecond, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 1 {
+		t.Fatalf("first reserved seq = %d, want 1", first)
+	}
+	if next := s.ReserveSeq(); next != 4 {
+		t.Fatalf("seq after a run of 3 = %d, want 4", next)
+	}
+	if err := s.Run(5 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := s.ReserveSeqs(time.Millisecond, 2)
+	aerr := s.At(time.Millisecond, PriorityNormal, func() {})
+	if rerr == nil || aerr == nil || rerr.Error() != aerr.Error() {
+		t.Fatalf("past run: ReserveSeqs = %v, At = %v: want At's error", rerr, aerr)
+	}
+	if next := s.ReserveSeq(); next != 5 {
+		t.Fatalf("a refused run reserved sequence numbers: next = %d, want 5", next)
+	}
+}
