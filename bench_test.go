@@ -393,33 +393,6 @@ func BenchmarkRSDecodeWorstCase(b *testing.B) {
 	}
 }
 
-// BenchmarkRSDecodeErasures measures erasure decoding with the maximum
-// 2t = 16 known-position erasures (the known-loss path used when slot
-// corruption positions are signalled out of band).
-func BenchmarkRSDecodeErasures(b *testing.B) {
-	code := rs.NewPaperCode()
-	rng := sim.NewRNG(3)
-	msg := make([]byte, code.K())
-	for i := range msg {
-		msg[i] = byte(rng.Uint64())
-	}
-	cw, err := code.Encode(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	corrupted := append([]byte(nil), cw...)
-	erasures := rng.Shuffled(len(cw))[:2*code.T()]
-	for _, p := range erasures {
-		corrupted[p] = 0xEE
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := code.DecodeWithErasures(corrupted, erasures); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkControlFieldCodec measures one full control-field
 // encode+decode round (2 RS codewords each way) in its steady-state
 // form: EncodeControlFieldsTo into a reused buffer and

@@ -1,13 +1,17 @@
 package osumac
 
-// Differential tests of the compiled-cycle executor: for every fallback
+// Differential tests of the compiled-cycle executor. Every cycle plays
+// off its slot table; DisableCompiledCycle runs every action of that
+// table through the wire handlers (encode, channel, decode), which is
+// the reference the fast path is compared with here. For every fallback
 // trigger (lossy channel, CF2 amendment, reverse format switch) the
-// compiled engine must deactivate its fast path — counted on the
-// matching reason counter — and still produce a trace stream and metric
-// snapshot identical to the event-driven kernel; contention slots
-// (registration, data-in-contention, collisions) must stay on the fast
-// path with the same equivalence. The compiled run is additionally
-// verified by the protocol-invariant checker.
+// compiled run must deactivate its fast path — counted on the matching
+// reason counter — and still produce a trace stream and metric snapshot
+// identical to the wire-handler run; contention slots (registration,
+// data-in-contention, collisions) must stay on the fast path with the
+// same equivalence. The compiled run is additionally verified by the
+// protocol-invariant checker. The table's firing order itself is
+// checked against per-slot heap events in internal/core.
 
 import (
 	"testing"
@@ -16,8 +20,8 @@ import (
 	"github.com/osu-netlab/osumac/internal/core"
 )
 
-// twinRun executes the same scenario through both engines and fails the
-// test on any observable divergence. It returns the compiled run's
+// twinRun executes the same scenario on the fast path and on the wire
+// handlers and fails the test on any observable divergence. It returns the compiled run's
 // metrics for the caller's fallback-counter assertions.
 func twinRun(t *testing.T, scn Scenario) *Metrics {
 	t.Helper()
@@ -33,13 +37,13 @@ func twinRunWith(t *testing.T, scn Scenario, join func(*Network) error) (*Metric
 	t.Helper()
 
 	compiledBuf := &TraceBuffer{Cap: 1 << 20}
-	eventBuf := &TraceBuffer{Cap: 1 << 20}
+	wireBuf := &TraceBuffer{Cap: 1 << 20}
 
 	compiledScn := scn
 	compiledScn.Tracer = compiledBuf
-	eventScn := scn
-	eventScn.Tracer = eventBuf
-	eventScn.DisableCompiledCycle = true
+	wireScn := scn
+	wireScn.Tracer = wireBuf
+	wireScn.DisableCompiledCycle = true
 
 	nc, chk, err := BuildChecked(compiledScn)
 	if err != nil {
@@ -57,7 +61,7 @@ func twinRunWith(t *testing.T, scn Scenario, join func(*Network) error) (*Metric
 		t.Fatalf("compiled run breaches protocol invariants: %v", rep.Violations)
 	}
 
-	ne, err := Build(eventScn)
+	ne, err := Build(wireScn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,26 +74,26 @@ func twinRunWith(t *testing.T, scn Scenario, join func(*Network) error) (*Metric
 		t.Fatal(err)
 	}
 
-	if compiledBuf.Dropped() > 0 || eventBuf.Dropped() > 0 {
-		t.Fatalf("trace buffers overflowed (compiled dropped %d, event %d): raise Cap",
-			compiledBuf.Dropped(), eventBuf.Dropped())
+	if compiledBuf.Dropped() > 0 || wireBuf.Dropped() > 0 {
+		t.Fatalf("trace buffers overflowed (compiled dropped %d, wire %d): raise Cap",
+			compiledBuf.Dropped(), wireBuf.Dropped())
 	}
-	ce, ee := compiledBuf.Events(), eventBuf.Events()
+	ce, ee := compiledBuf.Events(), wireBuf.Events()
 	if len(ce) != len(ee) {
-		t.Fatalf("trace length diverges: compiled %d events, event kernel %d", len(ce), len(ee))
+		t.Fatalf("trace length diverges: compiled %d events, wire handlers %d", len(ce), len(ee))
 	}
 	for i := range ce {
 		if ce[i] != ee[i] {
-			t.Fatalf("trace diverges at event %d:\n  compiled: %v\n  event:    %v", i, ce[i], ee[i])
+			t.Fatalf("trace diverges at event %d:\n  compiled: %v\n  wire:     %v", i, ce[i], ee[i])
 		}
 	}
 
 	cs, es := nc.Metrics().Snapshot(), ne.Metrics().Snapshot()
 	if cs != es {
-		t.Fatalf("metric snapshots diverge:\n  compiled: %+v\n  event:    %+v", cs, es)
+		t.Fatalf("metric snapshots diverge:\n  compiled: %+v\n  wire:     %+v", cs, es)
 	}
 	if cf, ef := nc.Sim().EventsFired(), ne.Sim().EventsFired(); cf != ef {
-		t.Fatalf("kernel actions diverge: compiled fired %d, event kernel %d", cf, ef)
+		t.Fatalf("kernel actions diverge: compiled fired %d, wire handlers %d", cf, ef)
 	}
 	return nc.Metrics(), ce
 }
@@ -169,7 +173,7 @@ func TestCompiledFallbackTriggers(t *testing.T) {
 // TestCompiledContentionStaysFast pins contention slots to the fast
 // path: registrations, data-in-contention and collisions run on fast
 // compiled cycles with traces, snapshots and kernel action counts equal
-// to the event kernel's. No case has GPS users, so no cycle can switch
+// to the wire handlers'. No case has GPS users, so no cycle can switch
 // format or take a CF2 amendment, and the channel is ideal: every cycle
 // must stay fast.
 func TestCompiledContentionStaysFast(t *testing.T) {
@@ -272,8 +276,8 @@ func TestCompiledFormatSwitchRecompiles(t *testing.T) {
 }
 
 // FuzzCompiledCycle is the differential fuzz target: the fuzzer
-// explores scenario configurations and for every one the compiled and
-// event-driven engines must emit byte-identical trace streams, equal
+// explores scenario configurations and for every one the fast path and
+// the wire handlers must emit byte-identical trace streams, equal
 // metric snapshots, and equal kernel action counts, with the compiled
 // run passing the protocol-invariant checker.
 func FuzzCompiledCycle(f *testing.F) {
@@ -391,9 +395,10 @@ func TestSimulationCycleAllocs(t *testing.T) {
 	}
 }
 
-// TestCompiledDisabledRunsEventKernel verifies the escape hatch: with
-// the toggle set, no compiled cycle ever activates.
-func TestCompiledDisabledRunsEventKernel(t *testing.T) {
+// TestCompiledDisabledRunsWireHandlers verifies the escape hatch: with
+// the toggle set, every cycle runs on the wire handlers and no compiled
+// cycle is counted.
+func TestCompiledDisabledRunsWireHandlers(t *testing.T) {
 	scn := NewScenario()
 	scn.Cycles, scn.WarmupCycles = 10, 0
 	scn.DisableCompiledCycle = true

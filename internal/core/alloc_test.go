@@ -146,12 +146,12 @@ func TestCycleSourcePeekAllocsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		for {
-			at, _, _, ok := n.compiled.PeekAction()
+			key, ok := n.compiled.PeekAction()
 			if !ok {
 				return
 			}
 			peeks++
-			if err := n.Sim().Run(at); err != nil {
+			if err := n.Sim().Run(key.At); err != nil {
 				t.Fatal(err)
 			}
 		}

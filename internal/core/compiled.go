@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -12,27 +13,28 @@ import (
 	"github.com/osu-netlab/osumac/internal/stats"
 )
 
-// This file implements the compiled-cycle executor: a precompiled
-// slot-action table per (reverse format) that replaces the event
-// kernel's per-slot heap events with a tight table walk. A cycle whose
-// template activates "fast" skips the wire round-trips an ideal channel
-// cannot change (control-field encode → transmit → decode, packet
-// marshal → RS encode → RS decode → unmarshal) and dispatches each slot
-// straight into the protocol handlers; contention slots included, since
-// a contender's marshaled packet reaches the base station unchanged.
-// Anything the template cannot prove ahead of time — a lossy channel
-// model, a CF2 schedule amendment, a reverse-format switch —
-// deactivates the fast path for the rest of the cycle: the remaining
-// actions still fire from the table at identical (time, priority,
-// sequence) coordinates, but run the exact event-kernel handlers. The
-// two engines are observationally identical (traces, metrics, RNG
-// streams); the differential fuzz target in the root package proves it.
+// This file implements the compiled-cycle executor: every notification
+// cycle plays off a precompiled slot-action table per reverse format,
+// fed to the kernel through the sim.ActionSource seam instead of one
+// heap event per slot. A cycle whose instance activates "fast" skips
+// the wire round-trips an ideal channel cannot change (control-field
+// encode → transmit → decode, packet marshal → RS encode → RS decode →
+// unmarshal) and dispatches each slot straight into the protocol
+// handlers; contention slots included, since a contender's marshaled
+// packet reaches the base station unchanged. Anything the template
+// cannot prove ahead of time — a lossy channel model, a CF2 schedule
+// amendment, a reverse-format switch — deactivates the fast path for
+// the rest of the cycle: the remaining actions still fire from the
+// table at identical sim.Key coordinates, but run the wire handlers
+// (deliverCF1All, deliverCF2All, gpsSlotStart, dataSlotEnd,
+// forwardSlotEnd). Config.DisableCompiledCycle runs every cycle on the
+// wire handlers; the differential tests in the root package compare
+// the two trace for trace.
 //
 // The same source is the cell's cycle clock: ScheduleCycles records a
 // run of cycle starts with their reserved sequence numbers instead of
 // queuing one heap event per cycle, and the source fires each start at
-// the key the heap event would have had. It runs under
-// Config.DisableCompiledCycle too, where it only keeps the clock.
+// the key a heap event would have had.
 
 // slotOp classifies one compiled slot action.
 type slotOp uint8
@@ -56,18 +58,17 @@ type templAction struct {
 }
 
 // cycleTemplate is the compiled form of one reverse format's cycle:
-// sched lists the actions in the event kernel's scheduling order (the
-// sequence-reservation order), exec re-orders them by firing time.
+// sched lists the actions in sequence-number order, exec re-orders them
+// by firing time. Forward slots come last in sched, so every action
+// before firstFwd takes sequence number seq0 + its sched index, and an
+// assigned forward slot takes seq0 + firstFwd + the number of assigned
+// forward slots before it; an unassigned forward slot takes none.
 type cycleTemplate struct {
-	format ReverseFormat
-	sched  []templAction
-	exec   []int // sched indices sorted by (at, pri, sched index)
+	format   ReverseFormat
+	sched    []templAction
+	exec     []int // sched indices sorted by (at, pri, sched index)
+	firstFwd int   // sched index of forward slot 0
 }
-
-// maxTemplateActions bounds a template: CF1 + CF2 + GPS + reverse data
-// + forward data slots.
-const maxTemplateActions = 2 + frame.GPSScheduleEntries +
-	frame.ReverseScheduleEntries + frame.ForwardScheduleEntries
 
 // sharedTemplates holds the two reverse formats' cycle templates,
 // compiled once per process. Executors only read them, so cells on
@@ -77,8 +78,8 @@ var sharedTemplates = sync.OnceValue(func() *[2]*cycleTemplate {
 })
 
 // buildTemplate compiles one reverse format's slot layout into an
-// action table. It mirrors beginCycle's scheduling order exactly: CF1,
-// CF2, GPS slots, reverse data slots, forward slots.
+// action table, in sequence order: CF1, CF2, GPS slots, reverse data
+// slots, forward slots.
 func buildTemplate(format ReverseFormat) *cycleTemplate {
 	layout := layoutOf(format)
 	t := &cycleTemplate{format: format}
@@ -94,6 +95,7 @@ func buildTemplate(format ReverseFormat) *cycleTemplate {
 			isLast: i == layout.LastDataSlot(),
 		})
 	}
+	t.firstFwd = len(t.sched)
 	for i, iv := range layout.ForwardData {
 		t.sched = append(t.sched, templAction{op: opForward, slot: i, at: iv.End, pri: sim.PriorityDeliver})
 	}
@@ -113,66 +115,56 @@ func buildTemplate(format ReverseFormat) *cycleTemplate {
 	return t
 }
 
-// actionKey is a kernel action's position in the total firing order.
-type actionKey struct {
-	at  time.Duration
-	pri sim.Priority
-	seq uint64
-}
-
-// before reports whether k fires before o.
-func (k actionKey) before(o actionKey) bool {
-	if k.at != o.at {
-		return k.at < o.at
-	}
-	if k.pri != o.pri {
-		return k.pri < o.pri
-	}
-	return k.seq < o.seq
-}
-
 // compiledInstance is one cycle bound to a template: the cycle's t0,
-// control fields, reserved kernel sequence numbers, and a cursor over
-// the active actions. Two instances suffice: a cycle's only action past
-// the next cycle's activation is its overlapping last reverse data slot.
+// control fields, first reserved kernel sequence number, and a cursor
+// over the cycle's actions. Two instances suffice: cycle k runs on
+// inst[k&1], and ScheduleCycles keeps cycle starts at least one
+// CycleLength apart, so cycle k-2's last action (its overlapping last
+// reverse data slot) has fired before cycle k starts.
 type compiledInstance struct {
-	tmpl   *cycleTemplate
-	cycle  int
-	t0     time.Duration
-	layout Layout
-	cf1    *frame.ControlFields // live pointer: CF2 amendments are visible
-	fast   bool
-	inUse  bool
-	pos    int       // index into tmpl.exec of the next active action
-	next   actionKey // that action's key
+	tmpl    *cycleTemplate
+	cycle   int
+	t0      time.Duration
+	layout  Layout
+	cf1     *frame.ControlFields // live pointer: CF2 amendments are visible
+	fast    bool
+	inUse   bool
+	pos     int     // index into tmpl.exec of the next action
+	next    sim.Key // that action's key
+	seq0    uint64  // the cycle's first reserved sequence number
+	fwdMask uint64  // bit i set: forward slot i is assigned (37 fit)
 
-	active     [maxTemplateActions]bool
-	seqs       [maxTemplateActions]uint64
 	contention [frame.ReverseScheduleEntries]bool
 	fwdUsers   [frame.ForwardScheduleEntries]frame.UserID
 }
 
-// advance moves the cursor to the next active action, releasing the
-// instance when the cycle is drained.
+// advance moves the cursor to the next action, skipping unassigned
+// forward slots, and releases the instance when the cycle is drained.
 func (ci *compiledInstance) advance() {
-	for ci.pos++; ci.pos < len(ci.tmpl.exec); ci.pos++ {
-		si := ci.tmpl.exec[ci.pos]
-		if ci.active[si] {
-			a := &ci.tmpl.sched[si]
-			ci.next = actionKey{ci.t0 + a.at, a.pri, ci.seqs[si]}
-			return
+	t := ci.tmpl
+	for ci.pos++; ci.pos < len(t.exec); ci.pos++ {
+		si := t.exec[ci.pos]
+		a := &t.sched[si]
+		rank := si
+		if a.op == opForward {
+			bit := uint64(1) << a.slot
+			if ci.fwdMask&bit == 0 {
+				continue
+			}
+			rank = t.firstFwd + bits.OnesCount64(ci.fwdMask&(bit-1))
 		}
+		ci.next = sim.Key{At: ci.t0 + a.at, Priority: a.pri, Seq: ci.seq0 + uint64(rank)}
+		return
 	}
 	ci.inUse = false
 }
 
 // cycleRun is one ScheduleCycles call's pending cycle starts: cycle
-// `cycle` begins at `at` under sequence number seq, and each of the
-// `left`-1 after it one CycleLength and one sequence number later —
-// the keys the call's At loop would have given its heap events.
+// `cycle` begins at next, and each of the `left`-1 after it one
+// CycleLength and one sequence number later — the keys the call's At
+// loop would have given its heap events.
 type cycleRun struct {
-	at    time.Duration
-	seq   uint64
+	next  sim.Key
 	cycle int
 	left  int
 }
@@ -185,61 +177,54 @@ type cycleRun struct {
 // otherwise queue for a cycle.
 type compiledSource struct {
 	n          *Network
-	compile    bool // false under Config.DisableCompiledCycle: clock only
+	compile    bool // false under Config.DisableCompiledCycle: every cycle slow
 	inst       [2]compiledInstance
 	lastFormat ReverseFormat
-	// runs holds ScheduleCycles' pending cycle starts. Runs that
-	// overlap in time interleave by key, exactly as their heap events
-	// would have.
+	// runs holds ScheduleCycles' pending cycle starts, oldest first.
+	// Runs never overlap, so runs[0] holds the next start.
 	runs []cycleRun
+	// lastStart is the latest cycle start ever scheduled, if any cycle
+	// was.
+	lastStart time.Duration
 }
 
 var _ sim.ActionSource = (*compiledSource)(nil)
 
-// newCompiledSource returns an executor for n; with compile false it
-// only keeps the cycle clock. The caller attaches it to the kernel.
+// newCompiledSource returns an executor for n; with compile false every
+// cycle runs on the wire handlers. The caller attaches it to the
+// kernel.
 func newCompiledSource(n *Network, compile bool) *compiledSource {
 	return &compiledSource{n: n, compile: compile}
 }
 
-// activate binds a free instance to cycle k and reserves its kernel
-// sequence numbers in the exact order beginCycle's event path would
-// have scheduled them, so compiled and event cycles interleave
-// identically. It returns nil when the executor is off or both
-// instances are still busy (the caller then schedules the cycle through
-// plain heap events, which is sequence-equivalent). Conditions known at
-// activation time — a lossy channel model somewhere, a reverse-format
-// switch — deactivate the fast path up front; the cycle still runs off
-// the table via the slow handlers.
+// activate binds inst[k&1] to cycle k and reserves the cycle's kernel
+// sequence numbers as one block, the numbers per-slot At calls in
+// template order would have taken, so the cycle's actions interleave
+// with heap events deterministically. Conditions known at activation
+// time — a lossy channel model somewhere, a reverse-format switch —
+// deactivate the fast path up front; the cycle still runs off the
+// table via the wire handlers, as every cycle does under
+// Config.DisableCompiledCycle.
 func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *frame.ControlFields) *compiledInstance {
-	if !cs.compile {
-		return nil
-	}
-	var ci *compiledInstance
-	for i := range cs.inst {
-		if !cs.inst[i].inUse {
-			ci = &cs.inst[i]
-			break
-		}
-	}
-	if ci == nil {
-		return nil
-	}
 	n := cs.n
-	fast := true
-	if cs.lastFormat != 0 && cs.lastFormat != layout.Format {
-		n.metrics.CompiledRecompiles.Inc()
-		n.metrics.CompiledFallbackFormat.Inc()
-		fast = false
-	}
-	cs.lastFormat = layout.Format
-	if !n.allIdeal {
-		n.metrics.CompiledFallbackLoss.Inc()
-		fast = false
-	}
-	n.metrics.CompiledCycles.Inc()
-	if !fast {
-		n.metrics.CompiledFallbacks.Inc()
+	ci := &cs.inst[k&1]
+	ci.fast = false
+	if cs.compile {
+		ci.fast = true
+		if cs.lastFormat != 0 && cs.lastFormat != layout.Format {
+			n.metrics.CompiledRecompiles.Inc()
+			n.metrics.CompiledFallbackFormat.Inc()
+			ci.fast = false
+		}
+		cs.lastFormat = layout.Format
+		if !n.allIdeal {
+			n.metrics.CompiledFallbackLoss.Inc()
+			ci.fast = false
+		}
+		n.metrics.CompiledCycles.Inc()
+		if !ci.fast {
+			n.metrics.CompiledFallbacks.Inc()
+		}
 	}
 
 	ci.tmpl = sharedTemplates()[layout.Format-1]
@@ -247,49 +232,48 @@ func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *
 	ci.t0 = t0
 	ci.layout = layout
 	ci.cf1 = cf1
-	ci.fast = fast
 	ci.inUse = true
 	for i := range ci.contention {
 		ci.contention[i] = i < len(layout.ReverseData) && cf1.ReverseSchedule[i] == frame.NoUser
 	}
 	ci.fwdUsers = cf1.ForwardSchedule
-	for si := range ci.tmpl.sched {
-		a := &ci.tmpl.sched[si]
-		act := a.op != opForward || cf1.ForwardSchedule[a.slot] != frame.NoUser
-		ci.active[si] = act
-		if act {
-			ci.seqs[si] = n.sim.ReserveSeq()
+	ci.fwdMask = 0
+	for i, u := range cf1.ForwardSchedule {
+		if u != frame.NoUser {
+			ci.fwdMask |= 1 << i
 		}
 	}
+	seq0, err := n.sim.ReserveSeqs(t0, ci.tmpl.firstFwd+bits.OnesCount64(ci.fwdMask))
+	if err != nil {
+		// Unreachable: t0 is the kernel's clock.
+		n.fail("cycle activation", err)
+	}
+	ci.seq0 = seq0
 	ci.pos = -1
 	ci.advance()
 	return ci
 }
 
 // pick returns the source's earliest pending action: an instance's next
-// slot action (ci non-nil) or the next cycle start of runs[run]. ok is
-// false when the source is idle.
-func (cs *compiledSource) pick() (key actionKey, ci *compiledInstance, run int, ok bool) {
-	run = -1
+// slot action (ci non-nil) or the next cycle start. ok is false when the
+// source is idle.
+func (cs *compiledSource) pick() (key sim.Key, ci *compiledInstance, ok bool) {
 	for i := range cs.inst {
 		c := &cs.inst[i]
-		if c.inUse && (!ok || c.next.before(key)) {
+		if c.inUse && (!ok || c.next.Before(key)) {
 			key, ci, ok = c.next, c, true
 		}
 	}
-	for j := range cs.runs {
-		r := &cs.runs[j]
-		if k := (actionKey{r.at, sim.PriorityNormal, r.seq}); !ok || k.before(key) {
-			key, ci, run, ok = k, nil, j, true
-		}
+	if len(cs.runs) > 0 && (!ok || cs.runs[0].next.Before(key)) {
+		key, ci, ok = cs.runs[0].next, nil, true
 	}
-	return key, ci, run, ok
+	return key, ci, ok
 }
 
 // PeekAction implements sim.ActionSource.
-func (cs *compiledSource) PeekAction() (time.Duration, sim.Priority, uint64, bool) {
-	key, _, _, ok := cs.pick()
-	return key.at, key.pri, key.seq, ok
+func (cs *compiledSource) PeekAction() (sim.Key, bool) {
+	key, _, ok := cs.pick()
+	return key, ok
 }
 
 // FireAction implements sim.ActionSource: it executes the earliest
@@ -297,19 +281,19 @@ func (cs *compiledSource) PeekAction() (time.Duration, sim.Priority, uint64, boo
 // inspect the source (fallback, delivery, activation) see a consistent
 // state.
 func (cs *compiledSource) FireAction() {
-	_, ci, run, ok := cs.pick()
+	_, ci, ok := cs.pick()
 	if !ok {
 		return
 	}
 	n := cs.n
 	if ci == nil {
-		r := &cs.runs[run]
+		r := &cs.runs[0]
 		k := r.cycle
-		r.at += phy.CycleLength
-		r.seq++
+		r.next.At += phy.CycleLength
+		r.next.Seq++
 		r.cycle++
 		if r.left--; r.left == 0 {
-			cs.runs = slices.Delete(cs.runs, run, run+1)
+			cs.runs = slices.Delete(cs.runs, 0, 1)
 		}
 		n.beginCycle(k)
 		return
@@ -400,8 +384,7 @@ func (n *Network) deliverCFDirect(e *subEntry, cf *frame.ControlFields, layout L
 	n.maybeStartSources(e)
 }
 
-// runSlowAction dispatches one action through the event kernel's slot
-// handlers — the fallback body, byte-identical to the event path.
+// runSlowAction dispatches one slot action through the wire handlers.
 func (n *Network) runSlowAction(ci *compiledInstance, a templAction) {
 	switch a.op {
 	case opGPS:

@@ -134,11 +134,13 @@ type Config struct {
 	// Tracer receives protocol events when non-nil (see TraceBuffer).
 	Tracer Tracer
 
-	// DisableCompiledCycle forces every notification cycle through the
-	// general event-driven kernel instead of the compiled slot-action
-	// templates (see compiled.go). The two engines are observationally
-	// identical — this switch exists for the differential tests that
-	// prove it, and as an escape hatch.
+	// DisableCompiledCycle runs every notification cycle on the wire
+	// handlers — control fields and packets encoded, transmitted and
+	// decoded — instead of the compiled fast path, off the same slot
+	// table (see compiled.go); no cycle skips the wire, and the
+	// Compiled* counters stay 0. The two are observationally identical
+	// — this switch exists for the differential tests that prove it,
+	// and as an escape hatch.
 	DisableCompiledCycle bool
 
 	// CollectSeries records a per-cycle metric point in

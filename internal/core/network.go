@@ -77,10 +77,9 @@ type Network struct {
 	rxInfos [][]byte
 	rxCF    frame.ControlFields
 
-	// Compiled-cycle executor and cycle clock (see compiled.go). Under
-	// Config.DisableCompiledCycle it only fires cycle starts; allIdeal
-	// tracks whether every attached channel model is phy.Ideal — the
-	// fast path's precondition.
+	// Compiled-cycle executor and cycle clock (see compiled.go);
+	// allIdeal tracks whether every attached channel model is
+	// phy.Ideal — the fast path's precondition.
 	compiled *compiledSource
 	allIdeal bool
 
@@ -326,19 +325,36 @@ func (n *Network) FlushSeries() {
 // ScheduleCycles queues the next `cycles` notification cycles starting
 // at the absolute virtual time `start` without running the kernel —
 // used when several cells share one kernel (see the backbone package).
-// The starts are not heap events: the cell's action source holds them
-// as one run, under sequence numbers reserved now exactly as `cycles`
-// At calls would have taken them, so they fire in the same order. A
-// start before the kernel's clock is At's error.
+// The run's cycles are numbered after every cycle already begun or
+// still pending. The starts are not heap events: the cell's action
+// source holds them as one run, under sequence numbers reserved now
+// exactly as `cycles` At calls would have taken them, so they fire in
+// the same order. Two cycles of one cell never overlap on the air, so a
+// run whose first start falls less than one CycleLength after the last
+// scheduled start is refused; a start before the kernel's clock is At's
+// error.
 func (n *Network) ScheduleCycles(cycles int, start time.Duration) error {
 	if cycles <= 0 {
 		return fmt.Errorf("core: non-positive cycle count %d", cycles)
+	}
+	cs := n.compiled
+	first := n.cycle
+	for _, r := range cs.runs {
+		first += r.left
+	}
+	if first > 0 && start < cs.lastStart+phy.CycleLength {
+		return fmt.Errorf("core: cycle run starting at %v overlaps the cycle scheduled at %v", start, cs.lastStart)
 	}
 	seq, err := n.sim.ReserveSeqs(start, cycles)
 	if err != nil {
 		return err
 	}
-	n.compiled.runs = append(n.compiled.runs, cycleRun{at: start, seq: seq, cycle: n.cycle, left: cycles})
+	cs.runs = append(cs.runs, cycleRun{
+		next:  sim.Key{At: start, Priority: sim.PriorityNormal, Seq: seq},
+		cycle: first,
+		left:  cycles,
+	})
+	cs.lastStart = start + time.Duration(cycles-1)*phy.CycleLength
 	return nil
 }
 
@@ -355,7 +371,7 @@ func (n *Network) TrackMessage(user frame.UserID, msgID uint16, bytes int, creat
 	}
 }
 
-// beginCycle schedules every event of notification cycle k.
+// beginCycle starts notification cycle k and activates its slot table.
 func (n *Network) beginCycle(k int) {
 	prevFormat := n.base.Layout().Format
 	if n.cfg.CollectSeries && k > 0 {
@@ -412,73 +428,18 @@ func (n *Network) beginCycle(k int) {
 		return
 	}
 
-	// Compiled fast path: when an instance is free, the whole cycle runs
-	// off a precompiled slot-action table instead of per-slot heap events
-	// (see compiled.go). The two engines are observationally identical.
-	if ci := n.compiled.activate(k, t0, layout, cf1); ci != nil {
-		if !ci.fast {
-			n.encodeCF1(cf1)
+	// The whole cycle plays off its slot table (see compiled.go). Only a
+	// cycle that runs slow from activation delivers CF1 over the wire,
+	// from cf1Buf; the next cycle reuses the buffer after this cycle's
+	// CF1 delivery at CF1.End.
+	if ci := n.compiled.activate(k, t0, layout, cf1); !ci.fast {
+		air, err := n.codec.EncodeControlFieldsTo(n.cf1Buf[:0], cf1)
+		if err != nil {
+			n.fail("control field encode", err)
+			return
 		}
-		return
+		n.cf1Buf = air
 	}
-
-	if !n.encodeCF1(cf1) {
-		return
-	}
-	cf1Air := n.cf1Buf
-	n.sim.AfterPriority(layout.CF1.End, sim.PriorityDeliver, func() {
-		n.deliverCF1All(cf1Air, layout)
-	})
-
-	// CF2 delivery.
-	n.sim.AfterPriority(layout.CF2.End, sim.PriorityDeliver, func() {
-		n.deliverCF2All(layout)
-	})
-
-	// Reverse GPS slots. The transmit decision happens at the slot
-	// START: a report arriving mid-slot waits for the next cycle.
-	for i, iv := range layout.GPS {
-		i, iv := i, iv
-		n.sim.AfterPriority(iv.Start, sim.PriorityLate, func() {
-			n.gpsSlotStart(cf1, i, t0+iv.Start)
-		})
-	}
-
-	// Reverse data slots. The last one lands after the next cycle has
-	// begun; its handler knows its own cycle index.
-	for i, iv := range layout.ReverseData {
-		i := i
-		isLast := i == layout.LastDataSlot()
-		contention := cf1.ReverseSchedule[i] == frame.NoUser
-		n.sim.AfterPriority(iv.End, sim.PriorityDeliver, func() {
-			n.dataSlotEnd(k, i, isLast, contention)
-		})
-	}
-
-	// Forward data slots.
-	for i, iv := range layout.ForwardData {
-		i := i
-		user := cf1.ForwardSchedule[i]
-		if user == frame.NoUser {
-			continue
-		}
-		n.sim.AfterPriority(iv.End, sim.PriorityDeliver, func() {
-			n.forwardSlotEnd(i, user)
-		})
-	}
-}
-
-// encodeCF1 encodes a validated CF1 into cf1Buf for wire delivery. The
-// buffer is reused next cycle; the cycle's CF1 delivery fires at
-// CF1.End, well before then.
-func (n *Network) encodeCF1(cf1 *frame.ControlFields) bool {
-	air, err := n.codec.EncodeControlFieldsTo(n.cf1Buf[:0], cf1)
-	if err != nil {
-		n.fail("control field encode", err)
-		return false
-	}
-	n.cf1Buf = air
-	return true
 }
 
 // recordSeriesPoint appends the per-cycle delta for the cycle that just
@@ -512,8 +473,8 @@ func (n *Network) recordSeriesPoint(cycle int) {
 }
 
 // deliverCF1All delivers the encoded first control-field set to every
-// subscriber not waiting for CF2. It is the body of the event kernel's
-// CF1 delivery event, and the compiled executor's slow CF1 action.
+// subscriber not waiting for CF2: the compiled executor's slow CF1
+// action.
 func (n *Network) deliverCF1All(air []byte, layout Layout) {
 	for _, e := range n.subs {
 		if e.sub.State() == StateIdle || e.listensCF2 {
@@ -524,10 +485,9 @@ func (n *Network) deliverCF1All(air []byte, layout Layout) {
 }
 
 // deliverCF2All builds, announces, and delivers the second control-field
-// set: the body of the event kernel's CF2 delivery event, and the
-// compiled executor's slow CF2 action. BuildCF2 is not idempotent (its
-// amendments grant slots), so anything that has already called it must
-// use deliverCF2Wire instead.
+// set: the compiled executor's slow CF2 action. BuildCF2 is not
+// idempotent (its amendments grant slots), so anything that has already
+// called it must use deliverCF2Wire instead.
 func (n *Network) deliverCF2All(layout Layout) {
 	cf2 := n.base.BuildCF2()
 	n.announceCF2Amendments()

@@ -38,34 +38,6 @@ func TestCodecPayloadToRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecControlFieldsToRoundTrip(t *testing.T) {
-	c := NewCodec()
-	cf := NewControlFields()
-	cf.GPSSchedule[1] = 9
-	cf.ReverseSchedule[2] = 21
-	cf.ReverseACKs[1] = ReverseACK{User: 21, EIN: 0x1234}
-
-	air, err := c.EncodeControlFieldsTo(nil, cf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := c.EncodeControlFields(cf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(air, plain) {
-		t.Fatal("EncodeControlFieldsTo differs from EncodeControlFields")
-	}
-	scratch := make([]byte, 0, phy.ControlFieldCodewords*phy.CodewordInfoBytes)
-	got, err := c.DecodeControlFieldsTo(scratch, air)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *cf {
-		t.Fatal("DecodeControlFieldsTo round-trip mismatch")
-	}
-}
-
 func TestCodecToVariantsAppend(t *testing.T) {
 	c := NewCodec()
 	info := make([]byte, phy.CodewordInfoBytes)

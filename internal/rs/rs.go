@@ -536,8 +536,7 @@ func (c *Code) recheck(s *decoderScratch, cw []byte, positions []int) bool {
 }
 
 // berlekampMassey finds the error-locator polynomial σ(x) (ascending
-// powers, σ(0)=1) from the given syndromes (s.syn for plain decoding,
-// the Forney syndromes for the erasure path). If the implied number of
+// powers, σ(0)=1) from the given syndromes. If the implied number of
 // errors exceeds t it fails. σ lives in s.sigBuf; the buffer is fully
 // zeroed up front so in-place length growth never reads stale bytes.
 func (c *Code) berlekampMassey(s *decoderScratch, syn []byte, t int) ([]byte, error) {
@@ -699,9 +698,8 @@ func (c *Code) chienIncremental(s *decoderScratch, sigma []byte, deg int) ([]int
 	return positions, nil
 }
 
-// forney computes error magnitudes from the given syndromes and locator
-// (σ for plain decoding, the combined locator Ψ = σ·Γ for the erasure
-// path) and corrects cw in place.
+// forney computes error magnitudes from the given syndromes and error
+// locator σ and corrects cw in place.
 func (c *Code) forney(s *decoderScratch, cw, syn, sigma []byte, positions []int) error {
 	// Error evaluator Ω(x) = [S(x)·σ(x)] mod x^(n−k), computed directly
 	// into the truncated scratch buffer via table rows.

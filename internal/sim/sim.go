@@ -43,29 +43,36 @@ const (
 // before the horizon was reached.
 var ErrStopped = errors.New("simulation stopped")
 
+// Key is a work item's position in the kernel's total firing order:
+// virtual time, then priority, then sequence number. Heap events and
+// source actions compare by the same Key, and sequence numbers are
+// unique per kernel, so the order never depends on how the heap or a
+// source stores its items.
+type Key struct {
+	At       time.Duration
+	Priority Priority
+	Seq      uint64
+}
+
+// Before reports whether k fires before o.
+func (k Key) Before(o Key) bool {
+	if k.At != o.At {
+		return k.At < o.At
+	}
+	if k.Priority != o.Priority {
+		return k.Priority < o.Priority
+	}
+	return k.Seq < o.Seq
+}
+
 // event is one scheduled closure. The kernel keeps events by value in
-// its heap; (at, priority, seq) is unique per event, so the firing order
-// is a total order independent of the heap's internal layout.
+// its heap.
 type event struct {
-	at       time.Duration
-	priority Priority
-	seq      uint64
-	fn       func()
+	Key
+	fn func()
 }
 
-// before reports whether e fires before o: by time, then priority, then
-// scheduling order.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.priority != o.priority {
-		return e.priority < o.priority
-	}
-	return e.seq < o.seq
-}
-
-// eventQueue is a binary min-heap of events on (at, priority, seq).
+// eventQueue is a binary min-heap of events on their Key.
 type eventQueue []event
 
 // push adds ev, sifting it up to its place.
@@ -75,7 +82,7 @@ func (q *eventQueue) push(ev event) {
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h[i].before(&h[parent]) {
+		if !h[i].Before(h[parent].Key) {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -98,10 +105,10 @@ func (q *eventQueue) pop() event {
 		if child >= len(h) {
 			break
 		}
-		if r := child + 1; r < len(h) && h[r].before(&h[child]) {
+		if r := child + 1; r < len(h) && h[r].Before(h[child].Key) {
 			child = r
 		}
-		if !h[child].before(&h[i]) {
+		if !h[child].Before(h[i].Key) {
 			break
 		}
 		h[i], h[child] = h[child], h[i]
@@ -114,9 +121,9 @@ func (q *eventQueue) pop() event {
 // ActionSource feeds pre-sequenced actions into the kernel's main loop
 // without per-action heap events. A source exposes its earliest pending
 // action via PeekAction; the kernel merges it against the event heap on
-// the usual (time, priority, sequence) order and calls FireAction when
-// the source wins. Sequence numbers must come from ReserveSeq so that
-// source actions and heap events share one total order.
+// the usual Key order and calls FireAction when the source wins.
+// Sequence numbers must come from ReserveSeqs so that source actions
+// and heap events share one total order.
 //
 // Sources exist for compiled executors (e.g. the core compiled-cycle
 // fast path) whose action tables are known ahead of time; everything
@@ -124,7 +131,7 @@ func (q *eventQueue) pop() event {
 type ActionSource interface {
 	// PeekAction returns the source's earliest pending action without
 	// consuming it. ok is false when the source is idle.
-	PeekAction() (at time.Duration, p Priority, seq uint64, ok bool)
+	PeekAction() (key Key, ok bool)
 	// FireAction executes the action PeekAction reported and advances
 	// past it. The kernel has already moved the clock to its time.
 	FireAction()
@@ -193,7 +200,7 @@ func (s *Simulator) AfterPriority(delay time.Duration, p Priority, fn func()) {
 // schedule queues fn at at, which the caller guarantees is not before
 // now, under the next sequence number.
 func (s *Simulator) schedule(at time.Duration, p Priority, fn func()) {
-	s.queue.push(event{at: at, priority: p, seq: s.seq, fn: fn})
+	s.queue.push(event{Key{at, p, s.seq}, fn})
 	s.seq++
 }
 
@@ -204,22 +211,13 @@ func (s *Simulator) AttachSource(src ActionSource) {
 	s.sources = append(s.sources, src)
 }
 
-// ReserveSeq hands out the next scheduling sequence number without
-// queuing a heap event. ActionSources reserve sequences in the exact
-// order the equivalent At calls would have been made, so their actions
-// interleave with heap events deterministically.
-func (s *Simulator) ReserveSeq() uint64 {
-	seq := s.seq
-	s.seq++
-	return seq
-}
-
 // ReserveSeqs hands out n consecutive sequence numbers for a run of
 // source actions whose first fires at `at`, and returns the first. It
 // consumes them exactly as n successive At calls made now would, so a
 // source can hold a whole run of pre-sequenced actions (a cell's cycle
-// starts, say) without queuing n heap events. Like At it refuses a time
-// before now, reserving nothing.
+// starts, or one cycle's slot actions) without queuing n heap events,
+// and its actions interleave with heap events deterministically. Like
+// At it refuses a time before now, reserving nothing.
 func (s *Simulator) ReserveSeqs(at time.Duration, n int) (uint64, error) {
 	if err := s.checkAt(at); err != nil {
 		return 0, err
@@ -230,105 +228,70 @@ func (s *Simulator) ReserveSeqs(at time.Duration, n int) (uint64, error) {
 }
 
 // nextUp selects the earliest pending work item — the heap head or an
-// attached source's next action — by (at, priority, seq). src is nil
-// when the heap head wins; ok is false when nothing is pending at all.
-func (s *Simulator) nextUp() (src ActionSource, at time.Duration, ok bool) {
-	var (
-		p   Priority
-		seq uint64
-	)
+// attached source's next action — by Key. src is nil when the heap head
+// wins; ok is false when nothing is pending at all.
+func (s *Simulator) nextUp() (src ActionSource, key Key, ok bool) {
 	if len(s.queue) > 0 {
-		head := &s.queue[0]
-		at, p, seq, ok = head.at, head.priority, head.seq, true
+		key, ok = s.queue[0].Key, true
 	}
 	for _, cand := range s.sources {
-		cat, cp, cseq, cok := cand.PeekAction()
-		if !cok {
-			continue
-		}
-		if !ok || cat < at || (cat == at && (cp < p || (cp == p && cseq < seq))) {
-			src, at, p, seq, ok = cand, cat, cp, cseq, true
+		if ck, cok := cand.PeekAction(); cok && (!ok || ck.Before(key)) {
+			src, key, ok = cand, ck, true
 		}
 	}
-	return src, at, ok
+	return src, key, ok
 }
 
 // Stop halts the event loop after the currently executing event returns.
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Run executes events until the queue drains or virtual time would pass
-// horizon. Events scheduled exactly at the horizon still run. It returns
-// ErrStopped if Stop was called, otherwise nil.
+// horizon. Events scheduled exactly at the horizon still run, and the
+// clock ends at the horizon, or stays where it is if it is already
+// later. It returns ErrStopped if Stop was called, otherwise nil.
 func (s *Simulator) Run(horizon time.Duration) error {
-	s.stopped = false
-	for {
-		src, at, ok := s.nextUp()
-		if !ok {
-			break
-		}
-		if s.stopped {
-			return ErrStopped
-		}
-		if at > horizon {
-			// Leave future work queued; advance to the horizon so
-			// repeated Run calls see monotonic time.
-			s.now = horizon
-			return nil
-		}
-		if src != nil {
-			s.now = at
-			s.fired++
-			src.FireAction()
-			continue
-		}
-		ev := s.queue.pop()
-		s.now = ev.at
-		s.fired++
-		if ev.fn != nil {
-			ev.fn()
-		}
-	}
-	if s.now < horizon {
-		s.now = horizon
-	}
-	return nil
+	return s.run(horizon, true)
 }
 
 // RunBefore executes events strictly before limit: every queued event
 // or source action with at < limit fires, events at or after limit stay
-// queued, and on normal completion the clock is left exactly at limit.
-// It is the windowed counterpart of Run (whose horizon is inclusive),
-// built for conservative-lookahead shard scheduling: a shard may safely
-// execute everything before the next barrier time while cross-shard
-// deliveries are guaranteed to be scheduled at or after it. Repeated
-// RunBefore calls with increasing limits partition a run into windows
-// that fire exactly the events one big Run would have fired, in the
-// same order. It returns ErrStopped if Stop was called, leaving the
-// clock at the stopping event's time.
+// queued, and on normal completion the clock is left at limit, or where
+// it is if it is already later. It is the windowed counterpart of Run
+// (whose horizon is inclusive), built for conservative-lookahead shard
+// scheduling: a shard may safely execute everything before the next
+// barrier time while cross-shard deliveries are guaranteed to be
+// scheduled at or after it. Repeated RunBefore calls with increasing
+// limits partition a run into windows that fire exactly the events one
+// big Run would have fired, in the same order. It returns ErrStopped if
+// Stop was called, leaving the clock at the stopping event's time.
 func (s *Simulator) RunBefore(limit time.Duration) error {
+	return s.run(limit, false)
+}
+
+// run is the event loop behind Run (inclusive of limit) and RunBefore
+// (exclusive). A Stop surfaces before the limit is tested, and the
+// clock never moves backwards.
+func (s *Simulator) run(limit time.Duration, inclusive bool) error {
 	s.stopped = false
 	for {
-		src, at, ok := s.nextUp()
+		src, key, ok := s.nextUp()
 		if !ok {
 			break
 		}
 		if s.stopped {
 			return ErrStopped
 		}
-		if at >= limit {
+		if key.At > limit || (key.At == limit && !inclusive) {
 			break
 		}
+		s.now = key.At
+		s.fired++
 		if src != nil {
-			s.now = at
-			s.fired++
 			src.FireAction()
 			continue
 		}
-		ev := s.queue.pop()
-		s.now = ev.at
-		s.fired++
-		if ev.fn != nil {
-			ev.fn()
+		if fn := s.queue.pop().fn; fn != nil {
+			fn()
 		}
 	}
 	if s.now < limit {

@@ -331,6 +331,40 @@ func TestRunBeforePastLimitIsNoOp(t *testing.T) {
 	}
 }
 
+// TestEarlierLimitKeepsClock pins the clock's monotonicity across
+// calls: a Run or RunBefore whose limit is before now, with work still
+// pending, leaves the clock where it is, so At still refuses times
+// before it.
+func TestEarlierLimitKeepsClock(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*Simulator, time.Duration) error
+	}{
+		{"Run", (*Simulator).Run},
+		{"RunBefore", (*Simulator).RunBefore},
+	} {
+		name, run := tc.name, tc.run
+		s := New()
+		s.After(10*time.Second, func() {})
+		s.After(30*time.Second, func() {})
+		if err := s.Run(20 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(s, 5*time.Second); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Now() != 20*time.Second {
+			t.Fatalf("%s(5s) moved the clock from 20s to %v", name, s.Now())
+		}
+		if err := s.At(6*time.Second, PriorityNormal, func() {}); err == nil {
+			t.Fatalf("after %s(5s): At(6s) accepted before the event that fired at 10s", name)
+		}
+		if s.Pending() != 1 {
+			t.Fatalf("%s: pending = %d, want the 30s event untouched", name, s.Pending())
+		}
+	}
+}
+
 func TestPriorityBackboneSortsAfterLocalEvents(t *testing.T) {
 	s := New()
 	var got []string
@@ -356,7 +390,8 @@ func TestPriorityBackboneSortsAfterLocalEvents(t *testing.T) {
 }
 
 // TestReserveSeqsMatchesAt pins ReserveSeqs to the numbers n At calls
-// would have consumed, and to At's refusal of a time before now.
+// would have consumed, and to At's refusal of a time before now. A run
+// of zero reserves nothing and returns the next free number.
 func TestReserveSeqsMatchesAt(t *testing.T) {
 	s := New()
 	if err := s.At(time.Millisecond, PriorityNormal, func() {}); err != nil {
@@ -369,7 +404,7 @@ func TestReserveSeqsMatchesAt(t *testing.T) {
 	if first != 1 {
 		t.Fatalf("first reserved seq = %d, want 1", first)
 	}
-	if next := s.ReserveSeq(); next != 4 {
+	if next, _ := s.ReserveSeqs(s.Now(), 0); next != 4 {
 		t.Fatalf("seq after a run of 3 = %d, want 4", next)
 	}
 	if err := s.Run(5 * time.Millisecond); err != nil {
@@ -380,7 +415,7 @@ func TestReserveSeqsMatchesAt(t *testing.T) {
 	if rerr == nil || aerr == nil || rerr.Error() != aerr.Error() {
 		t.Fatalf("past run: ReserveSeqs = %v, At = %v: want At's error", rerr, aerr)
 	}
-	if next := s.ReserveSeq(); next != 5 {
-		t.Fatalf("a refused run reserved sequence numbers: next = %d, want 5", next)
+	if next, _ := s.ReserveSeqs(s.Now(), 0); next != 4 {
+		t.Fatalf("a refused run reserved sequence numbers: next = %d, want 4", next)
 	}
 }

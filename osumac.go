@@ -189,9 +189,10 @@ type Scenario struct {
 	// ROADMAP grant-starvation bug — kept for the autopsy/critical-path
 	// tooling and as an ablation baseline.
 	LegacyGPSGrants bool
-	// DisableCompiledCycle turns off the precompiled slot-action fast
-	// path and runs every cycle through the event-driven kernel. The two
-	// engines are observationally identical; the toggle exists for
+	// DisableCompiledCycle turns off the compiled fast path: every
+	// cycle still plays off its slot table, but through the wire
+	// handlers, so no cycle skips the encode, channel and decode steps.
+	// The two are observationally identical; the toggle exists for
 	// differential testing and as an escape hatch.
 	DisableCompiledCycle bool
 	// Conformance attaches the runtime protocol-invariant checker to
