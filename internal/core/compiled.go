@@ -208,9 +208,8 @@ func newCompiledSource(n *Network, compile bool) *compiledSource {
 func (cs *compiledSource) activate(k int, t0 time.Duration, layout Layout, cf1 *frame.ControlFields) *compiledInstance {
 	n := cs.n
 	ci := &cs.inst[k&1]
-	ci.fast = false
+	ci.fast = cs.compile
 	if cs.compile {
-		ci.fast = true
 		if cs.lastFormat != 0 && cs.lastFormat != layout.Format {
 			n.metrics.CompiledRecompiles.Inc()
 			n.metrics.CompiledFallbackFormat.Inc()
